@@ -18,6 +18,12 @@ from .linalg import Matrix, Subspace, complement
 
 BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero
 
+# Largest dimension accepted from outside input: algebra documents, the
+# A<n>/H<m>/F<t> family keys and the filiform subcommand. A fixed guard, not a
+# setting: a hostile dim must fail fast (exit code 2) instead of hanging in
+# Jacobi validation. It stays above 103 so that F(100) remains legal.
+MAX_DIM = 512
+
 
 class LieAlgebra:
     __slots__ = ("field", "dim", "brackets", "name", "_cache")
@@ -218,27 +224,20 @@ def product_subspace(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
 
 
 def _brackets_with_full(L: LieAlgebra, v: Subspace):
-    """Spanning set of [L, V]: nonzero columns of ad(.)w over basis rows w of V."""
+    """Spanning set of [L, V]: the nonzero columns of ad(.)w over the sparse
+    basis rows w of V, as {col: x} vectors."""
     f = L.field
-    add, sub, mul = f.add, f.sub, f.mul
-    n = L.dim
+    zero, add, sub, mul = f.zero, f.add, f.sub, f.mul
     touch = L.pairs_touching()
     vectors = []
-    for w in v.basis:
-        cols: dict[int, list] = {}
-        for l, wl in enumerate(w, start=1):
-            if not wl:
-                continue
-            for partner, cs, negate in touch.get(l, ()):
-                col = cols.get(partner)
-                if col is None:
-                    col = cols[partner] = [f.zero] * n
-                if negate:
-                    for k, c in cs.items():
-                        col[k - 1] = sub(col[k - 1], mul(c, wl))
-                else:
-                    for k, c in cs.items():
-                        col[k - 1] = add(col[k - 1], mul(c, wl))
+    for w in v.rows():
+        cols: dict[int, dict] = {}
+        for l, wl in w.items():
+            for partner, cs, negate in touch.get(l + 1, ()):
+                col = cols.setdefault(partner, {})
+                acc = sub if negate else add
+                for k, c in cs.items():
+                    col[k - 1] = acc(col.get(k - 1, zero), mul(c, wl))
         vectors.extend(cols.values())
     return vectors
 

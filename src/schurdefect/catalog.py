@@ -3,7 +3,8 @@ family F(t), and the de Graaf list of nilpotent algebras of dimension <= 6
 with dim L^2 >= 2, including the characteristic-2 families L2_6_k.
 
 Keys follow the grammar A<n>, H<m>, F<t>, L<d>_<k>, L2_6_<k>. Parameters are
-passed separately, never embedded in the key. Each tabled entry carries its
+passed separately, never embedded in the key. A family key whose algebra
+would exceed `MAX_DIM` is rejected before anything is built. Each tabled entry carries its
 expected (dim L/Z, d(L/Z), dim L^2) row.
 
 The presentation of L2_6_3 is stored with [x3,x4]=x6 (its published form with
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, new_algebra
+from .algebra import MAX_DIM, LieAlgebra, new_algebra
 from .errors import CatalogError
 from .fields import Field
 
@@ -190,6 +191,9 @@ def get(key: str, field: Field, param=None) -> LieAlgebra:
         if param is not None:
             raise CatalogError(f"{key} takes no parameter")
         letter, idx = fam.group(1), int(fam.group(2))
+        dim = {"A": idx, "H": 2 * idx + 1, "F": idx + 3}[letter]
+        if dim > MAX_DIM:
+            raise CatalogError(f"{key}: dim {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
         if letter == "A":
             return abelian(field, idx)
         if letter == "H":

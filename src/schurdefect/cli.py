@@ -21,6 +21,7 @@ from .errors import (
     NotALieAlgebra,
     ParseError,
 )
+from .algebra import MAX_DIM
 from .fields import GF, QQ, Field, PrimeField
 from .invariants import moneyhun_check, report, t_invariant
 from .serialize import dumps, loads
@@ -148,6 +149,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_filiform(args) -> int:
+    if args.t + 3 > MAX_DIM:
+        raise ParseError(f"t: F({args.t}) has dim {args.t + 3}, over the limit "
+                         f"MAX_DIM = {MAX_DIM}")
     field = _parse_field(args.field)
     L = catalog.filiform(field, args.t)
     if args.emit:

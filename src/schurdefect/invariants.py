@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, product_subspace, quotient
 from .errors import NotNilpotent
-from .linalg import Matrix, Subspace, kernel, preimage, subspace_sum
+from .linalg import Subspace, null_space, preimage, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -46,38 +46,48 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
                    product_subspace(a, a.full_space(), a.full_space()))
 
 
-def center(L: LieAlgebra) -> Subspace:
-    """Joint kernel of all adjoint maps, as the kernel of the stacked
-    (nonzero) rows of the n^2 x n adjoint system."""
-    return _cached(L, "center", lambda a:
-                   kernel(Matrix(a.field, _center_rows(a), a.dim)))
+def annihilator(L: LieAlgebra, W: Subspace | None = None,
+                U: Subspace | None = None) -> Subspace:
+    """{x : [x, u] in W for every u in U}; W defaults to 0 and U to L.
 
-
-def _center_rows(L: LieAlgebra):
-    """Rows (j, k) of the center system sum_i x_i c_{ij}^k = 0; zero rows and
-    duplicates dropped."""
+    One linear condition per basis row u of U and closed-form equation phi
+    of W: sum_i x_i phi([e_i, u]) = 0. The equations are indexed by
+    coordinate and the adjoint entries come from the cached
+    `pairs_touching`, so only nonzero contributions are visited.
+    """
     f = L.field
     n = L.dim
-    add, sub = f.add, f.sub
-    rows: dict[tuple[int, int], list] = {}
-    for (i, j), cs in L.brackets.items():
-        for k, c in cs.items():
-            r = rows.get((j, k))
-            if r is None:
-                r = rows[(j, k)] = [f.zero] * n
-            r[i - 1] = add(r[i - 1], c)
-            r = rows.get((i, k))
-            if r is None:
-                r = rows[(i, k)] = [f.zero] * n
-            r[j - 1] = sub(r[j - 1], c)
-    out = []
-    seen = set()
-    for r in rows.values():
-        key = tuple(r)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+    W = Subspace.zero(f, n) if W is None else W
+    U = L.full_space() if U is None else U
+    for s in (W, U):
+        f.check_same(s.field)
+        if s.ambient_dim != n:
+            raise ValueError("subspace ambient dimension must equal the algebra dimension")
+    zero, add, sub, mul = f.zero, f.add, f.sub, f.mul
+    by_coord: dict[int, list] = {}  # k -> [(equation, its coefficient on e_k)]
+    for e, phi in enumerate(W.equation_rows()):
+        for k, a in phi.items():
+            by_coord.setdefault(k + 1, []).append((e, a))
+    touch = L.pairs_touching()
+    rows = []
+    for u in U.rows():
+        system: dict[int, dict] = {}  # equation -> {i: coefficient of x_i}
+        for j, uj in u.items():
+            # [e_i, e_{j+1}] = +-cs for each (i, cs, negate)
+            for i, cs, negate in touch.get(j + 1, ()):
+                acc = sub if negate else add
+                for k, c in cs.items():
+                    cu = mul(c, uj)
+                    for e, a in by_coord.get(k, ()):
+                        row = system.setdefault(e, {})
+                        row[i - 1] = acc(row.get(i - 1, zero), mul(a, cu))
+        rows.extend(system.values())
+    return null_space(f, n, rows)
+
+
+def center(L: LieAlgebra) -> Subspace:
+    """Z(L) = ann(0, L)."""
+    return _cached(L, "center", annihilator)
 
 
 def second_center(L: LieAlgebra) -> Subspace:
@@ -104,45 +114,16 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
 
 
 def upper_central_series(L: LieAlgebra) -> list[Subspace]:
-    """Z_1 = Z(L), Z_{i+1} = {x : [x, L] in Z_i}, listed until the first
-    repeat (Z_0 = 0 is not listed). Same objects as the quotient-preimage
-    description, computed by annihilator equations."""
-    f = L.field
-    n = L.dim
-    # per-j sparse entries of the adjoint system: [x, e_j]_k = sum_i ent(j,k,i) x_i
-    ents: dict[int, list[tuple[int, int, object]]] = {}
-    neg = f.neg
-    for (a, b), cs in L.brackets.items():
-        for k, c in cs.items():
-            ents.setdefault(b, []).append((k, a, c))
-            ents.setdefault(a, []).append((k, b, neg(c)))
+    """Z_1 = Z(L), Z_{i+1} = ann(Z_i, L) = {x : [x, L] in Z_i}, listed until
+    the first repeat (Z_0 = 0 is not listed). Same objects as the
+    quotient-preimage description."""
     def build(a: LieAlgebra):
-        prev = Subspace.zero(f, n)
         terms: list[Subspace] = []
-        add, mul = f.add, f.mul
-        while True:
-            eqs = prev.equations()
-            rows = []
-            seen = set()
-            for j, entries in ents.items():
-                for er in eqs.data:
-                    row = [f.zero] * n
-                    hit = False
-                    for (k, i, c) in entries:
-                        e = er[k - 1]
-                        if e:
-                            row[i - 1] = add(row[i - 1], mul(e, c))
-                            hit = True
-                    if hit and any(row):
-                        key = tuple(row)
-                        if key not in seen:
-                            seen.add(key)
-                            rows.append(row)
-            nxt = kernel(Matrix(f, rows, n))
-            if nxt == prev:
-                break
-            terms.append(nxt)
-            prev = nxt
+        z = center(a)
+        # Z_i is an ideal, so Z_{i+1} contains it: a repeat is an equal dim
+        while z.dim > (terms[-1].dim if terms else 0):
+            terms.append(z)
+            z = annihilator(a, z)
         return terms
     return _cached(L, "ucs", build)
 
@@ -167,39 +148,8 @@ def min_generators(L: LieAlgebra) -> int:
 
 
 def centralizer(L: LieAlgebra, u: Subspace) -> Subspace:
-    """{x : [x, v] = 0 for every basis vector v of u}."""
-    L.field.check_same(u.field)
-    if u.ambient_dim != L.dim:
-        raise ValueError("subspace ambient dimension must equal the algebra dimension")
-    f = L.field
-    n = L.dim
-    add, sub, mul = f.add, f.sub, f.mul
-    rows = []
-    seen = set()
-    for v in u.basis:
-        vrows: dict[int, list] = {}
-        for (i, j), cs in L.brackets.items():
-            vj = v[j - 1]
-            if vj:
-                for k, c in cs.items():
-                    r = vrows.get(k)
-                    if r is None:
-                        r = vrows[k] = [f.zero] * n
-                    r[i - 1] = add(r[i - 1], mul(c, vj))
-            vi = v[i - 1]
-            if vi:
-                for k, c in cs.items():
-                    r = vrows.get(k)
-                    if r is None:
-                        r = vrows[k] = [f.zero] * n
-                    r[j - 1] = sub(r[j - 1], mul(c, vi))
-        for r in vrows.values():
-            if any(r):
-                key = tuple(r)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(r)
-    return kernel(Matrix(f, rows, n))
+    """{x : [x, v] = 0 for every v in u} = ann(0, u)."""
+    return annihilator(L, None, u)
 
 
 def _d_and_t(L: LieAlgebra, z: Subspace, l2: Subspace) -> tuple[int, int]:

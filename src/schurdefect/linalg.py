@@ -1,92 +1,108 @@
 """Exact linear algebra over a field: echelon forms, kernels, subspace lattice.
 
-Subspaces are kept in reduced row-echelon form so that equality of subspaces
-is entry-wise equality of their basis matrices; there are no tolerances
-anywhere. Row reduction over prime fields switches to an int64 numpy kernel
-for larger matrices (exact mod-p arithmetic); the pure-Python path is the
-reference and the two are cross-tested for identical output.
+Every elimination runs through one sparse Gauss-Jordan kernel, `_rref_rows`,
+over rows kept as {column: nonzero scalar} dicts. It takes dense lists or
+such dicts and returns the fully reduced row-echelon form, which is
+canonical. A Subspace keeps that form twice: as its dense RREF basis, whose
+entry-wise equality is subspace equality (there are no tolerances anywhere),
+and as the kernel's sparse rows, read through `Subspace.rows()` by callers
+that visit only nonzero entries.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
-import numpy as np
+from heapq import heapify, heappop, heappush
 
 from .errors import NotContained, SingularMatrix
-from .fields import Field, PrimeField
-
-# numpy elimination pays off only past this many cells
-_NUMPY_CELLS = 1500
+from .fields import Field
 
 
-def _rref_numpy(p: int, rows, ncols: int):
-    M = np.array(rows, dtype=np.int64) % p
-    nrows = M.shape[0]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        nz = np.nonzero(M[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        # products stay below p^2 < 2^62: exact in int64
-        M -= np.outer(col, M[r])
-        M %= p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [[int(x) for x in M[i]] for i in range(r)], pivots
+def _rref_rows(field: Field, rows):
+    """Reduced row echelon form of `rows`, dense lists or {col: x} dicts.
 
-
-def _rref_rows(field: Field, rows, ncols: int):
-    """Reduced row echelon of `rows`; returns (basis_rows, pivot_cols).
-
-    Zero rows are dropped; pivots strictly increase; pivot entries are 1 and
-    pivot columns are zero elsewhere (fully reduced, canonical).
+    Returns (sparse_rows, pivot_cols) sorted by pivot. Zero rows are dropped;
+    pivot entries are 1 and pivot columns are zero elsewhere (fully reduced,
+    canonical). While reducing, rows are kept without their pivot entry. A
+    new row is reduced against the pivots it meets, smallest column first;
+    the later pivot columns are cleared from the rows once, at the end, so
+    only nonzero entries are ever visited. Scalars are Fractions or
+    residues in [0, p) (see `fields`), so Python's operators act on them
+    directly and residues are reduced mod p here.
     """
-    if (
-        isinstance(field, PrimeField)
-        and rows
-        and len(rows) * ncols >= _NUMPY_CELLS
-    ):
-        return _rref_numpy(field.p, rows, ncols)
-    return _rref_rows_python(field, rows, ncols)
-
-
-def _rref_rows_python(field: Field, rows, ncols: int):
-    sub, mul, div = field.sub, field.mul, field.div
-    basis: list[list] = []
-    pivcols: list[int] = []
+    p = field.characteristic
+    one = field.one
+    tails: dict[int, dict] = {}  # pivot column -> the row right of its pivot
     for row in rows:
-        r = list(row)
-        for idx, pc in enumerate(pivcols):
-            c = r[pc]
-            if c:
-                b = basis[idx]
-                r = [x if not y else sub(x, mul(c, y)) for x, y in zip(r, b)]
-        pc = next((t for t in range(ncols) if r[t]), None)
-        if pc is None:
+        r = {c: x for c, x in (row.items() if isinstance(row, dict)
+                               else enumerate(row)) if x}
+        todo = [c for c in r if c in tails]
+        heapify(todo)
+        while todo:
+            pc = heappop(todo)
+            c = r.pop(pc, None)
+            if c is not None:  # None: cancelled earlier, or a repeat
+                _sub_scaled(r, c, tails[pc], p, tails, todo)
+        if not r:
             continue
-        inv = r[pc]
-        if inv != field.one:
-            r = [x if not x else div(x, inv) for x in r]
-        for idx in range(len(basis)):
-            c = basis[idx][pc]
-            if c:
-                basis[idx] = [x if not y else sub(x, mul(c, y))
-                              for x, y in zip(basis[idx], r)]
-        pos = bisect_left(pivcols, pc)
-        basis.insert(pos, r)
-        pivcols.insert(pos, pc)
-    return basis, pivcols
+        pc = min(r)
+        lead = r.pop(pc)
+        if lead != one:
+            inv = field.div(one, lead)
+            r = {k: inv * x % p if p else inv * x for k, x in r.items()}
+        tails[pc] = r
+    pivots = sorted(tails)
+    # last pivot first: the rows used are already zero on other pivot columns
+    for pc in reversed(pivots):
+        tail = tails[pc]
+        for h in [c for c in tail if c in tails]:
+            _sub_scaled(tail, tail.pop(h), tails[h], p, tails, [])
+    return [{pc: one, **tails[pc]} for pc in pivots], pivots
+
+
+def _sub_scaled(r: dict, c, src: dict, p: int, tails: dict, todo: list) -> None:
+    """r -= c * src in place, dropping zeros (p is 0 over Q); each pivot
+    column of `tails` that r gains goes on the heap `todo`."""
+    for k, y in src.items():
+        x = r.get(k)
+        if x is None:
+            r[k] = -c * y % p if p else -c * y
+            if k in tails:
+                heappush(todo, k)
+        else:
+            v = x - c * y
+            if p:
+                v %= p
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+
+
+def _dense(row: dict, n: int, zero) -> list:
+    out = [zero] * n
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def _null_vectors(field: Field, rows, pivots, n: int) -> list[dict]:
+    """{x : r . x = 0 for each RREF row r}, spanned in closed form: one vector
+    e_c - sum_i rows[i][c] e_{pivots[i]} per non-pivot column c."""
+    one, neg = field.one, field.neg
+    pivset = set(pivots)
+    vecs = {c: {c: one} for c in range(n) if c not in pivset}
+    for r, pc in zip(rows, pivots):
+        for c, x in r.items():
+            if c != pc:
+                vecs[c][pc] = neg(x)
+    return list(vecs.values())
+
+
+def null_space(field: Field, n: int, rows) -> "Subspace":
+    """{x in F^n : r . x = 0 for every row r}; rows are dense lists or
+    sparse {col: x} dicts."""
+    return Subspace.from_vectors(
+        field, n, _null_vectors(field, *_rref_rows(field, rows), n))
 
 
 class Matrix:
@@ -176,13 +192,17 @@ class Matrix:
             raise SingularMatrix("only square matrices are invertible")
         n = self.nrows
         f = self.field
-        z, o = f.zero, f.one
-        aug = [list(r) + [o if i == j else z for j in range(n)]
-               for i, r in enumerate(self.data)]
-        reduced, pivots = _rref_rows(f, aug, 2 * n)
-        if len(reduced) < n or pivots[:n] != list(range(n)):
+        aug = []
+        for i, r in enumerate(self.data):
+            row = {j: x for j, x in enumerate(r) if x}
+            row[n + i] = f.one
+            aug.append(row)
+        reduced, pivots = _rref_rows(f, aug)
+        if pivots[:n] != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix(f, [r[n:] for r in reduced], n)
+        z = f.zero
+        return Matrix(f, [[r.get(c, z) for c in range(n, 2 * n)]
+                          for r in reduced[:n]], n)
 
     def is_zero(self) -> bool:
         return all(not x for r in self.data for x in r)
@@ -203,38 +223,55 @@ class Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form (same shape, zero rows at the bottom) + pivots."""
-    basis, pivots = _rref_rows(m.field, m.data, m.ncols)
+    rows, pivots = _rref_rows(m.field, m.data)
     z = m.field.zero
-    rows = [list(r) for r in basis]
-    while len(rows) < m.nrows:
-        rows.append([z] * m.ncols)
-    return Matrix(m.field, rows, m.ncols), tuple(pivots)
+    dense = [_dense(r, m.ncols, z) for r in rows]
+    dense.extend([z] * m.ncols for _ in range(m.nrows - len(rows)))
+    return Matrix(m.field, dense, m.ncols), tuple(pivots)
 
 
 class Subspace:
-    """Subspace of F^n, canonically represented by an RREF basis matrix."""
+    """Subspace of F^n, canonically represented by an RREF basis matrix.
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    `basis` holds the dense rows; `rows()` gives the same rows as sparse
+    {col: x} dicts, kept from the elimination or derived once on demand.
+    """
+
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_rows")
 
     def __init__(self, field: Field, ambient_dim: int, basis_rows, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = [list(r) for r in basis_rows]
         self.pivots = tuple(pivots)
+        self._rows = None
+
+    @classmethod
+    def _from_rows(cls, field, ambient_dim, rows, pivots) -> "Subspace":
+        s = cls.__new__(cls)
+        s.field = field
+        s.ambient_dim = ambient_dim
+        s.basis = [_dense(r, ambient_dim, field.zero) for r in rows]
+        s.pivots = tuple(pivots)
+        s._rows = rows
+        return s
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
-        basis, pivots = _rref_rows(field, vectors, ambient_dim)
-        return cls(field, ambient_dim, basis, pivots)
+        """Span of `vectors`, dense lists or sparse {col: x} dicts."""
+        rows, pivots = _rref_rows(field, vectors)
+        return cls._from_rows(field, ambient_dim, rows, pivots)
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
-        return cls(field, ambient_dim, [], ())
+        return cls._from_rows(field, ambient_dim, [], ())
 
     @classmethod
     def full(cls, field, ambient_dim) -> "Subspace":
-        ident = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, ident.data, tuple(range(ambient_dim)))
+        one = field.one
+        return cls._from_rows(field, ambient_dim,
+                              [{i: one} for i in range(ambient_dim)],
+                              range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -243,45 +280,51 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    def rows(self) -> list[dict]:
+        """The RREF basis rows as sparse {col: nonzero} dicts."""
+        if self._rows is None:
+            self._rows = [{c: x for c, x in enumerate(r) if x} for r in self.basis]
+        return self._rows
+
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.basis, self.ambient_dim)
 
-    def contains(self, vector) -> bool:
+    def _reduce(self, vector):
+        """(coordinates, remainder) of `vector` against the RREF rows."""
         if len(vector) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        f = self.field
-        sub, mul = f.sub, f.mul
+        sub, mul = self.field.sub, self.field.mul
         r = list(vector)
-        for idx, pc in enumerate(self.pivots):
+        coords = []
+        for row, pc in zip(self.rows(), self.pivots):
             c = r[pc]
+            coords.append(c)
             if c:
-                b = self.basis[idx]
-                r = [sub(x, mul(c, y)) for x, y in zip(r, b)]
-        return not any(r)
+                for k, y in row.items():
+                    r[k] = sub(r[k], mul(c, y))
+        return coords, r
+
+    def contains(self, vector) -> bool:
+        return not any(self._reduce(vector)[1])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
 
     def coordinates(self, vector):
         """Coefficients of `vector` in the RREF basis; None if not contained."""
-        f = self.field
-        sub, mul = f.sub, f.mul
-        r = list(vector)
-        coords = []
-        for idx, pc in enumerate(self.pivots):
-            c = r[pc]
-            coords.append(c)
-            if c:
-                b = self.basis[idx]
-                r = [sub(x, mul(c, y)) for x, y in zip(r, b)]
-        if any(r):
-            return None
-        return coords
+        coords, rest = self._reduce(vector)
+        return None if any(rest) else coords
+
+    def equation_rows(self) -> list[dict]:
+        """Independent sparse functionals whose common zeros are self: one
+        per non-pivot column c, e_c* - sum_i basis[i][c] e*_{p_i}."""
+        return _null_vectors(self.field, self.rows(), self.pivots,
+                             self.ambient_dim)
 
     def equations(self) -> Matrix:
-        """Matrix E with kernel(E) = self; rows are independent linear conditions."""
-        ker = kernel(self.basis_matrix())
-        return Matrix(self.field, ker.basis, self.ambient_dim)
+        """Matrix E with kernel(E) = self; rows are `equation_rows()`."""
+        n, z = self.ambient_dim, self.field.zero
+        return Matrix(self.field, [_dense(e, n, z) for e in self.equation_rows()], n)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -299,51 +342,19 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """{x : m @ x = 0}, canonical; dim = ncols - rank."""
-    f = m.field
-    basis, pivots = _rref_rows(f, m.data, m.ncols)
-    pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
-    z, o = f.zero, f.one
-    neg = f.neg
-    vecs = []
-    for fc in free:
-        v = [z] * m.ncols
-        v[fc] = o
-        for r, pc in zip(basis, pivots):
-            if r[fc]:
-                v[pc] = neg(r[fc])
-        vecs.append(v)
-    return Subspace.from_vectors(f, m.ncols, vecs)
+    return null_space(m.field, m.ncols, m.data)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _check_ambient(u, v)
-    return Subspace.from_vectors(u.field, u.ambient_dim, u.basis + v.basis)
+    return Subspace.from_vectors(u.field, u.ambient_dim, u.rows() + v.rows())
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Kernel-of-stacked-basis method: coefficient vectors (a, b) with
-    sum a_i u_i + sum b_j v_j = 0 give u-side combinations spanning u ∩ v."""
+    """u ∩ v: the common zeros of both subspaces' equations."""
     _check_ambient(u, v)
-    f = u.field
-    n = u.ambient_dim
-    ru, rv = u.dim, v.dim
-    if ru == 0 or rv == 0:
-        return Subspace.zero(f, n)
-    cols = Matrix(f, [[u.basis[i][t] for i in range(ru)]
-                      + [v.basis[j][t] for j in range(rv)]
-                      for t in range(n)], ru + rv)
-    coeffs = kernel(cols)
-    add, mul = f.add, f.mul
-    vecs = []
-    for c in coeffs.basis:
-        w = [f.zero] * n
-        for i in range(ru):
-            if c[i]:
-                row = u.basis[i]
-                w = [add(x, mul(c[i], y)) for x, y in zip(w, row)]
-        vecs.append(w)
-    return Subspace.from_vectors(f, n, vecs)
+    return null_space(u.field, u.ambient_dim,
+                      u.equation_rows() + v.equation_rows())
 
 
 def complement(inner: Subspace, outer: Subspace) -> Subspace:

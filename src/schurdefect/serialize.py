@@ -7,13 +7,15 @@
 Indices are 1-based with i < j required; rhs keys are decimal basis indices;
 scalar strings follow the exact-field grammar and must be canonical (the
 format is bit-exact: parsing then rendering reproduces the input scalar).
+"dim" may not exceed `MAX_DIM` (512); a larger one is rejected before any
+bracket is parsed.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import LieAlgebra
+from .algebra import MAX_DIM, LieAlgebra
 from .errors import DocumentError, ParseError
 from .fields import Field, field_from_descriptor
 
@@ -47,6 +49,8 @@ def document_to_algebra(doc) -> LieAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError("dim: must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise DocumentError(f"dim: {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
     fdesc = doc.get("field")
     if not isinstance(fdesc, dict):
         raise DocumentError("field: must be an object")

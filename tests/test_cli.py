@@ -3,7 +3,7 @@ import random
 
 from conftest import random_invertible
 from schurdefect import catalog
-from schurdefect.algebra import change_basis, direct_sum
+from schurdefect.algebra import MAX_DIM, change_basis, direct_sum
 from schurdefect.cli import main
 from schurdefect.fields import QQ
 from schurdefect.invariants import t_invariant
@@ -152,3 +152,26 @@ def test_file_with_bad_content(capsys, tmp_path):
     code, _, err = run(capsys, "invariants", "--file", str(path))
     assert code == 2
     assert "brackets[0].lhs" in err
+
+
+def test_dim_limit(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": MAX_DIM + 1, "field": {"kind": "rational"},
+                                "brackets": []}))
+    code, _, err = run(capsys, "t", "--file", str(path))
+    assert code == 2 and "dim: " in err
+    for key in (f"A{MAX_DIM + 1}", f"H{MAX_DIM // 2}", f"F{MAX_DIM - 2}"):
+        code, _, err = run(capsys, "t", key)
+        assert code == 2 and f"{key}: dim {MAX_DIM + 1}" in err
+    code, _, err = run(capsys, "filiform", str(MAX_DIM - 2))
+    assert code == 2 and "t: " in err
+    assert run(capsys, "t", f"A{MAX_DIM}")[:2] == (0, "0\n")
+    # the largest H and F pass the check; stubs stand in for the slow builds
+    built = []
+    small = catalog.filiform(QQ, 1)
+    monkeypatch.setattr(catalog, "heisenberg", lambda f, m: built.append(m) or small)
+    monkeypatch.setattr(catalog, "filiform", lambda f, t: built.append(t) or small)
+    assert run(capsys, "t", f"H{(MAX_DIM - 1) // 2}")[0] == 0
+    assert run(capsys, "t", f"F{MAX_DIM - 3}")[0] == 0
+    assert run(capsys, "filiform", str(MAX_DIM - 3))[0] == 0
+    assert built == [(MAX_DIM - 1) // 2, MAX_DIM - 3, MAX_DIM - 3]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from schurdefect.algebra import bracket, change_basis, direct_sum, new_algebra, 
 from schurdefect.errors import NotNilpotent
 from schurdefect.fields import GF, QQ
 from schurdefect.invariants import (
+    annihilator,
     center,
     centralizer,
     derived_subalgebra,
@@ -241,3 +243,41 @@ def test_series_consistency():
 
 def test_table1_row_helper():
     assert table1_row(catalog.get("L6_22", QQ, 0)) == (4, 4, 2)
+
+
+def test_annihilator_brute_force():
+    # x is in ann(W, U) exactly when [x, u] lies in W for every basis
+    # vector u of U, checked on all p^n vectors x
+    rng = random.Random(67)
+    for field in (GF(2), GF(3)):
+        bases = [catalog.heisenberg(field, 1), catalog.heisenberg(field, 2)]
+        bases += [catalog.get(e.key, field, catalog.default_param(e, field))
+                  for e in catalog.list_all(field) if e.dim <= 5]
+        for base in bases:
+            for L in (base, change_basis(base, random_invertible(field, base.dim, rng))):
+                n = L.dim
+                zero, full = Subspace.zero(field, n), L.full_space()
+                l2 = derived_subalgebra(L)
+                ucs = upper_central_series(L)
+                cases = [(zero, full, center(L)), (zero, l2, centralizer(L, l2))]
+                cases += [(w, full, z) for w, z in
+                          zip([zero] + ucs, ucs + [annihilator(L, ucs[-1])])]
+                for x in product(range(field.p), repeat=n):
+                    x = list(x)
+                    images = {id(U): [bracket(L, x, u) for u in U.basis]
+                              for U in (full, l2)}
+                    for W, U, got in cases:
+                        want = all(W.contains(b) for b in images[id(U)])
+                        assert got.contains(x) == want, (L, x)
+                for W, U, got in cases:
+                    assert annihilator(L, W, U) == got
+                assert ucs[0] == center(L)
+                assert ucs[-1] == full and len(ucs) == nilpotency_class(L)
+
+
+def test_filiform_upper_central_series_dims():
+    for field in (QQ, GF(3)):
+        for t in range(1, 21):
+            n = t + 3
+            dims = tuple(z.dim for z in upper_central_series(catalog.filiform(field, t)))
+            assert dims == tuple(range(1, n - 1)) + (n,)

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fields_for_tests, random_invertible, random_vector
+from conftest import fields_for_tests, random_invertible, random_scalar, random_vector
 from schurdefect.errors import NotContained, SingularMatrix
 from schurdefect.fields import GF, QQ
 from schurdefect.linalg import (
     Matrix,
     Subspace,
-    _rref_numpy,
+    _rref_rows,
     complement,
     kernel,
     preimage,
@@ -151,19 +151,49 @@ def test_inverse():
         Matrix.zeros(QQ, 2, 2).inverse()
 
 
-def test_numpy_python_rref_agree():
-    # the int64 mod-p elimination must match the generic path bit for bit
-    from schurdefect.linalg import _rref_rows_python
+def textbook_rref(field, rows, ncols):
+    """Dense Gauss-Jordan, column by column: swap the first row with a
+    nonzero entry up, scale it to a leading 1, clear the column elsewhere."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.div(field.one, m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                k = m[i][c]
+                m[i] = [field.sub(x, field.mul(k, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
 
+
+def _sparse_rref_dense(field, rows, ncols):
+    reduced, pivots = _rref_rows(field, rows)
+    return [[r.get(c, field.zero) for c in range(ncols)] for r in reduced], pivots
+
+
+def test_sparse_rref_matches_textbook_gauss_jordan():
     rng = random.Random(23)
-    for p in (2, 3, 5):
-        field = GF(p)
-        for rows, cols in ((50, 40), (8, 5), (40, 50), (30, 30)):
-            data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            fast_basis, fast_piv = _rref_numpy(p, data, cols)
-            slow_basis, slow_piv = _rref_rows_python(field, data, cols)
-            assert fast_piv == slow_piv
-            assert fast_basis == slow_basis
+    for field in fields_for_tests():
+        z = field.zero
+        for nrows, ncols in ((50, 40), (40, 50), (8, 5), (30, 30)):
+            for density in (0.05, 0.3, 1.0):
+                data = [[random_scalar(field, rng, zero_ok=False)
+                         if rng.random() < density else z for _ in range(ncols)]
+                        for _ in range(nrows)]
+                for i in rng.sample(range(nrows), 2):
+                    data[i] = [z] * ncols  # zero rows are dropped
+                want = textbook_rref(field, data, ncols)
+                assert _sparse_rref_dense(field, data, ncols) == want
+                as_dicts = [{c: x for c, x in enumerate(r) if x} for r in data]
+                assert _sparse_rref_dense(field, as_dicts, ncols) == want
+        assert _rref_rows(field, [[z] * 6 for _ in range(4)]) == ([], [])
+        assert _rref_rows(field, [{}, {}]) == ([], [])
 
 
 def test_equations_roundtrip():

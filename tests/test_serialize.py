@@ -3,6 +3,7 @@ import json
 import pytest
 
 from schurdefect import catalog
+from schurdefect.algebra import MAX_DIM
 from schurdefect.errors import DocumentError, NotALieAlgebra
 from schurdefect.fields import GF, QQ
 from schurdefect.serialize import (
@@ -106,3 +107,14 @@ def test_canonical_scalars_accepted():
     L = document_to_algebra(doc)
     assert L.field == QQ
     assert algebra_to_document(L)["brackets"][0]["rhs"] == {"3": "-1/2"}
+
+
+def test_dim_limit():
+    assert MAX_DIM >= 103  # F(100) of the acceptance criteria stays legal
+    doc = {"dim": MAX_DIM, "field": {"kind": "rational"}, "brackets": []}
+    assert document_to_algebra(doc).dim == MAX_DIM
+    # checked before the brackets: this list is never read
+    doc = {"dim": MAX_DIM + 1, "field": {"kind": "rational"},
+           "brackets": [{"lhs": "unread"}]}
+    with pytest.raises(DocumentError, match="^dim: "):
+        document_to_algebra(doc)
