@@ -4,17 +4,21 @@ quotients, base change, and bracketing of subspaces.
 Antisymmetry is a representation invariant: only pairs (i, j) with i < j are
 stored, [e_j, e_i] is derived by negation and [e_i, e_i] = 0 implicitly, so
 [x, x] = 0 holds in every characteristic including 2.
+
+Every bracket of two vectors goes through one sparse primitive,
+`_pair_brackets`: for each v it builds ad(v) once from the cached
+`pairs_touching` (`_ad`) and applies it to the other vectors (`_apply`).
+Vectors are {index: nonzero} dicts, 0-based; scalars are combined with
+Python's operators and reduced mod p once per entry. Base change, quotients,
+product subspaces, the homomorphism check and the public `bracket` and
+`adjoint_matrix` all read their results from it; there is no numpy here.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-import numpy as np
-
 from .errors import NotALieAlgebra, NotAnIdeal
-from .fields import Field, PrimeField
-from .linalg import Matrix, Subspace, complement
+from .fields import Field
+from .linalg import Matrix, Subspace, _dense, complement
 
 BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero
 
@@ -23,6 +27,12 @@ BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars non
 # setting: a hostile dim must fail fast (exit code 2) instead of hanging in
 # Jacobi validation. It stays above 103 so that F(100) remains legal.
 MAX_DIM = 512
+
+# Most bracket entries accepted in an algebra document, checked before any
+# entry is parsed. Also a fixed guard: inside MAX_DIM a full table (about
+# 130k pairs at dim 512) would still cost minutes in validation. It stays
+# above the 510 brackets of F(509), the largest family algebra allowed.
+MAX_BRACKETS = 4096
 
 
 class LieAlgebra:
@@ -133,19 +143,76 @@ def bracket(L: LieAlgebra, x, y):
     """[x, y] for coordinate vectors x, y of length dim."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    return _bracket_raw(L, x, y)
+    w = _apply(_ad(L, _sparse(x)), _sparse(y), L.field.characteristic)
+    return _dense(w, L.dim, L.field.zero)
 
 
-def _bracket_raw(L: LieAlgebra, x, y):
-    f = L.field
-    add, sub, mul = f.add, f.sub, f.mul
-    out = [f.zero] * L.dim
-    for (i, j), cs in L.brackets.items():
-        c = sub(mul(x[i - 1], y[j - 1]), mul(x[j - 1], y[i - 1]))
-        if c:
-            for k, v in cs.items():
-                out[k - 1] = add(out[k - 1], mul(c, v))
+def _sparse(x) -> dict:
+    """A dense vector as {index: nonzero}, 0-based."""
+    return {i: c for i, c in enumerate(x) if c}
+
+
+def _sparse_columns(m: Matrix) -> dict[int, dict]:
+    return {j: _sparse(m.col(j)) for j in range(m.ncols)}
+
+
+def _reduced(v: dict, p: int) -> dict:
+    """v with its entries reduced mod p (p = 0: over Q) and zeros dropped."""
+    if p:
+        return {k: r for k, x in v.items() if (r := x % p)}
+    return {k: x for k, x in v.items() if x}
+
+
+def _apply(cols: dict, u: dict, p: int) -> dict:
+    """sum_l u_l cols[l] for sparse columns {l: {k: c}}."""
+    acc: dict = {}
+    for l, ul in u.items():
+        for k, c in cols.get(l, {}).items():
+            acc[k] = acc.get(k, 0) + c * ul
+    return _reduced(acc, p)
+
+
+def _ad(L: LieAlgebra, v: dict) -> dict:
+    """ad(v) as sparse columns {l: [v, e_l]}, zero columns left out."""
+    touch = L.pairs_touching()
+    cols: dict[int, dict] = {}
+    for i, vi in v.items():
+        # [e_partner, e_{i+1}] = -cs if negate else cs
+        for partner, cs, negate in touch.get(i + 1, ()):
+            s = vi if negate else -vi
+            col = cols.setdefault(partner - 1, {})
+            for k, c in cs.items():
+                col[k - 1] = col.get(k - 1, 0) + c * s
+    p = L.field.characteristic
+    return {l: r for l, col in cols.items() if (r := _reduced(col, p))}
+
+
+def _pair_brackets(L: LieAlgebra, vs, us=None) -> dict:
+    """Every nonzero [v_a, u_b] as {(a, b): {k: c}}; vectors and results are
+    sparse and 0-based. With `us` left out, the pairs a < b of `vs`."""
+    p = L.field.characteristic
+    out = {}
+    for a, v in enumerate(vs):
+        targets = enumerate(us) if us is not None else enumerate(vs[a + 1:], a + 1)
+        ad = None
+        for b, u in targets:
+            if ad is None:
+                ad = _ad(L, v)
+            w = _apply(ad, u, p)
+            if w:
+                out[(a, b)] = w
     return out
+
+
+def _bracket_table(L: LieAlgebra, vecs, read) -> BracketTable:
+    """Structure constants on `vecs` (sparse): each nonzero [v_a, v_b] read
+    back as coordinates {k: c} (0-based) by `read`."""
+    table: BracketTable = {}
+    for (a, b), w in _pair_brackets(L, vecs).items():
+        cs = read(w)
+        if cs:
+            table[(a + 1, b + 1)] = {k + 1: c for k, c in cs.items()}
+    return table
 
 
 def _ad_dict(L: LieAlgebra, i: int, w: dict) -> dict:
@@ -166,16 +233,19 @@ def _ad_dict(L: LieAlgebra, i: int, w: dict) -> dict:
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
     """All violating basis triples (i, j, k), i < j < k; empty means valid.
 
-    Only triples meeting a stored pair can violate, so candidates are taken
-    from the sparse table rather than all C(n, 3) triples.
+    A term [e_c, [e_a, e_b]] can be nonzero only when (a, b) is a stored
+    pair and e_c brackets nontrivially with one of its targets, so only
+    those triples are candidates, not all C(n, 3).
     """
     f = L.field
     add = f.add
+    touch = L.pairs_touching()
     candidates = set()
-    for (a, b) in L.brackets:
-        for c in range(1, L.dim + 1):
-            if c != a and c != b:
-                candidates.add(tuple(sorted((a, b, c))))
+    for (a, b), cs in L.brackets.items():
+        for k in cs:
+            for c, _, _ in touch.get(k, ()):
+                if c != a and c != b:
+                    candidates.add(tuple(sorted((a, b, c))))
     bad = []
     for (i, j, k) in sorted(candidates):
         acc: dict = {}
@@ -219,27 +289,14 @@ def product_subspace(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     elif v.is_full():
         vectors = _brackets_with_full(L, u)
     else:
-        vectors = [_bracket_raw(L, a, b) for a in u.basis for b in v.basis]
+        vectors = list(_pair_brackets(L, u.rows(), v.rows()).values())
     return Subspace.from_vectors(L.field, L.dim, vectors)
 
 
 def _brackets_with_full(L: LieAlgebra, v: Subspace):
-    """Spanning set of [L, V]: the nonzero columns of ad(.)w over the sparse
-    basis rows w of V, as {col: x} vectors."""
-    f = L.field
-    zero, add, sub, mul = f.zero, f.add, f.sub, f.mul
-    touch = L.pairs_touching()
-    vectors = []
-    for w in v.rows():
-        cols: dict[int, dict] = {}
-        for l, wl in w.items():
-            for partner, cs, negate in touch.get(l + 1, ()):
-                col = cols.setdefault(partner, {})
-                acc = sub if negate else add
-                for k, c in cs.items():
-                    col[k - 1] = acc(col.get(k - 1, zero), mul(c, wl))
-        vectors.extend(cols.values())
-    return vectors
+    """Spanning set of [L, V]: the nonzero columns of ad(w) over the sparse
+    basis rows w of V."""
+    return [col for w in v.rows() for col in _ad(L, w).values()]
 
 
 def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"]:
@@ -260,15 +317,9 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"
                   L.dim).transpose()
     proj_full = cols.inverse()
     proj = Matrix(f, proj_full.data[:q], L.dim)
-    table: BracketTable = {}
-    for a, b in combinations(range(q), 2):
-        w = _bracket_raw(L, comp.basis[a], comp.basis[b])
-        if not any(w):
-            continue
-        y = proj.matvec(w)
-        cs = {k + 1: c for k, c in enumerate(y) if c}
-        if cs:
-            table[(a + 1, b + 1)] = cs
+    pcols = _sparse_columns(proj)
+    table = _bracket_table(L, comp.rows(),
+                           lambda w: _apply(pcols, w, f.characteristic))
     name = f"{L.name}/I" if L.name else None
     Q = LieAlgebra(f, q, table, name)  # re-validates Jacobi
     return Q, Homomorphism(L, Q, proj)
@@ -283,42 +334,11 @@ def change_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     L.field.check_same(P.field)
     if P.nrows != L.dim or P.ncols != L.dim:
         raise ValueError("base-change matrix must be dim x dim")
-    Pinv = P.inverse()  # SingularMatrix if not invertible
-    f = L.field
-    if isinstance(f, PrimeField) and L.dim >= 8 and f.p < 2**15:
-        return _change_basis_modp(L, P, Pinv)
-    cols = [P.col(a) for a in range(L.dim)]
-    table: BracketTable = {}
-    for a, b in combinations(range(L.dim), 2):
-        w = _bracket_raw(L, cols[a], cols[b])
-        if not any(w):
-            continue
-        y = Pinv.matvec(w)
-        cs = {k + 1: c for k, c in enumerate(y) if c}
-        if cs:
-            table[(a + 1, b + 1)] = cs
+    Pinv = _sparse_columns(P.inverse())  # SingularMatrix if not invertible
+    p = L.field.characteristic
+    table = _bracket_table(L, list(_sparse_columns(P).values()),
+                           lambda w: _apply(Pinv, w, p))
     return LieAlgebra._make(L.field, L.dim, table)
-
-
-def _change_basis_modp(L: LieAlgebra, P: Matrix, Pinv: Matrix) -> LieAlgebra:
-    p = L.field.p
-    n = L.dim
-    Pm = np.array(P.data, dtype=np.int64) % p
-    Pim = np.array(Pinv.data, dtype=np.int64) % p
-    br = np.zeros((n, n, n), dtype=np.int64)
-    for (i, j), cs in L.brackets.items():
-        F = np.outer(Pm[i - 1], Pm[j - 1]) - np.outer(Pm[j - 1], Pm[i - 1])
-        F %= p
-        for k, c in cs.items():
-            br[:, :, k - 1] = (br[:, :, k - 1] + c * F) % p
-    # y_ab = Pinv @ [P_a, P_b]; n * p^2 stays far below 2^63 (p < 2^15 gate)
-    Y = np.einsum("abk,lk->abl", br, Pim) % p
-    table: BracketTable = {}
-    aa, bb, kk = np.nonzero(Y)
-    for a, b, k in zip(aa.tolist(), bb.tolist(), kk.tolist()):
-        if a < b:
-            table.setdefault((a + 1, b + 1), {})[k + 1] = int(Y[a, b, k])
-    return LieAlgebra._make(L.field, n, table)
 
 
 def adjoint_matrix(L: LieAlgebra, x) -> Matrix:
@@ -328,15 +348,9 @@ def adjoint_matrix(L: LieAlgebra, x) -> Matrix:
     f = L.field
     n = L.dim
     data = [[f.zero] * n for _ in range(n)]
-    add, sub, mul = f.add, f.sub, f.mul
-    for (i, j), cs in L.brackets.items():
-        xi, xj = x[i - 1], x[j - 1]
-        if xi:
-            for k, c in cs.items():
-                data[k - 1][j - 1] = add(data[k - 1][j - 1], mul(c, xi))
-        if xj:
-            for k, c in cs.items():
-                data[k - 1][i - 1] = sub(data[k - 1][i - 1], mul(c, xj))
+    for j, col in _ad(L, _sparse(x)).items():
+        for k, c in col.items():
+            data[k][j] = c
     return Matrix(f, data, n)
 
 
@@ -358,45 +372,19 @@ class Homomorphism:
         return self.matrix.matvec(x)
 
     def is_bracket_preserving(self) -> bool:
-        """phi([x,y]) = [phi(x), phi(y)] checked on all basis pairs."""
-        if isinstance(self.source.field, PrimeField) and self.source.dim >= 10:
-            return self._check_modp()
-        return self._check_generic()
+        """phi([x,y]) = [phi(x), phi(y)] checked on all basis pairs: phi
+        applied to the source table against the target's brackets of the
+        columns of phi."""
+        p = self.source.field.characteristic
+        cols = _sparse_columns(self.matrix)
+        images = {}
+        for (i, j), cs in self.source.brackets.items():
+            img = _apply(cols, {k - 1: c for k, c in cs.items()}, p)
+            if img:
+                images[(i - 1, j - 1)] = img
+        return images == _pair_brackets(self.target, list(cols.values()))
 
     def check(self) -> "Homomorphism":
         if not self.is_bracket_preserving():
             raise NotALieAlgebra("map is not a Lie algebra homomorphism")
         return self
-
-    def _check_generic(self) -> bool:
-        cols = [self.matrix.col(a) for a in range(self.source.dim)]
-        f = self.source.field
-        for a, b in combinations(range(1, self.source.dim + 1), 2):
-            w = self.source.basis_bracket(a, b)
-            lhs = [f.zero] * self.target.dim
-            for k, c in w.items():
-                col = self.matrix.col(k - 1)
-                lhs = [f.add(x, f.mul(c, y)) for x, y in zip(lhs, col)]
-            rhs = _bracket_raw(self.target, cols[a - 1], cols[b - 1])
-            if lhs != rhs:
-                return False
-        return True
-
-    def _check_modp(self) -> bool:
-        p = self.source.field.p
-        s, t = self.source.dim, self.target.dim
-        Phi = np.array(self.matrix.data, dtype=np.int64) % p
-        rhs = np.zeros((s, s, t), dtype=np.int64)
-        for (i, j), cs in self.target.brackets.items():
-            F = np.outer(Phi[i - 1], Phi[j - 1]) - np.outer(Phi[j - 1], Phi[i - 1])
-            F %= p
-            for k, c in cs.items():
-                rhs[:, :, k - 1] = (rhs[:, :, k - 1] + c * F) % p
-        lhs = np.zeros((s, s, t), dtype=np.int64)
-        for (a, b), cs in self.source.brackets.items():
-            img = np.zeros(t, dtype=np.int64)
-            for k, c in cs.items():
-                img = (img + c * Phi[:, k - 1]) % p
-            lhs[a - 1, b - 1] = img
-            lhs[b - 1, a - 1] = (-img) % p
-        return bool(np.array_equal(lhs, rhs))

@@ -7,19 +7,28 @@ once t, the stem dimension, dim T^2 and (for the one ambiguous pair) the
 dimension of the centralizer of T^2 are known, the isomorphism class is
 determined, so fingerprint equality replaces general isomorphism search on
 the domain t <= 2.
+
+Brackets of vectors come from the algebra module's sparse pair-bracket
+primitive; the stem table, the witness checks and the Gram matrix of the
+Heisenberg form all read their results from it. There is no numpy here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 
-import numpy as np
-
-from .algebra import Homomorphism, LieAlgebra, _bracket_raw, direct_sum, new_algebra
+from .algebra import (
+    Homomorphism,
+    LieAlgebra,
+    _bracket_table,
+    _pair_brackets,
+    _reduced,
+    direct_sum,
+    new_algebra,
+)
 from .catalog import abelian, get as catalog_get, heisenberg
 from .errors import DerivedNotLine, NotNilpotent
-from .fields import Field, PrimeField
+from .fields import Field
 from .invariants import (
     InvariantReport,
     center,
@@ -28,7 +37,7 @@ from .invariants import (
     report,
     t_invariant,
 )
-from .linalg import Matrix, complement, subspace_intersect, subspace_sum
+from .linalg import Matrix, _dense, complement, subspace_intersect, subspace_sum
 
 ABELIAN = "abelian"
 HEISENBERG_SUM = "heisenberg_sum"
@@ -86,19 +95,16 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     extra = complement(spanned, full)
     t_space = subspace_sum(l2, extra)
     q = t_space.dim
-    table = []
-    for a, b in combinations(range(q), 2):
-        w = _bracket_raw(L, t_space.basis[a], t_space.basis[b])
-        if not any(w):
-            continue
-        coords = t_space.coordinates(w)
+
+    def read(w):
+        coords = t_space.coordinates(_dense(w, L.dim, f.zero))
         if coords is None:
             raise ArithmeticError("bracket of stem vectors left the stem")
-        cs = {k + 1: c for k, c in enumerate(coords) if c}
-        if cs:
-            table.append(((a + 1, b + 1), cs))
+        return {k: c for k, c in enumerate(coords) if c}
+
+    table = _bracket_table(L, t_space.rows(), read)
     name = f"stem({L.name})" if L.name else None
-    T = new_algebra(f, q, table, name=name)
+    T = new_algebra(f, q, table.items(), name=name)
     k = a_part.dim
     columns = [list(r) for r in t_space.basis] + [list(r) for r in a_part.basis]
     matrix = Matrix(f, [[columns[c][r] for c in range(len(columns))]
@@ -123,12 +129,11 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     if not z.contains_subspace(l2):
         raise DerivedNotLine("derived line is not central (algebra is not nilpotent)")
     w = list(l2.basis[0])
-    wpiv = l2.pivots[0]
     comp = complement(z, L.full_space())
     q = comp.dim
     vecs = [list(r) for r in comp.basis]
     sub, mul, div, neg = f.sub, f.mul, f.div, f.neg
-    gram = _gram_on_line(L, vecs, w, wpiv)
+    gram = _gram_on_line(L, comp.rows(), l2.rows()[0], l2.pivots[0])
     remaining = list(range(q))
     pairs = []
     while remaining:
@@ -195,39 +200,20 @@ def _heisenberg_sum(field: Field, m: int, k: int) -> LieAlgebra:
     return cached
 
 
-def _gram_on_line(L: LieAlgebra, vecs, w, wpiv):
-    """Gram matrix of the bracket form on `vecs`, valued in the line spanned
-    by w (pivot column wpiv); every bracket is verified to lie on that line."""
+def _gram_on_line(L: LieAlgebra, vecs, w: dict, wpiv: int):
+    """Gram matrix of the bracket form on the sparse `vecs`, valued in the
+    line spanned by w (sparse, 1 at its pivot column wpiv); every bracket is
+    verified to lie on that line."""
     f = L.field
+    p = f.characteristic
     q = len(vecs)
-    if isinstance(f, PrimeField) and q >= 6:
-        p = f.p
-        V = np.array(vecs, dtype=np.int64) % p
-        br = np.zeros((q, q, L.dim), dtype=np.int64)
-        for (i, j), cs in L.brackets.items():
-            F = np.outer(V[:, i - 1], V[:, j - 1]) - np.outer(V[:, j - 1], V[:, i - 1])
-            F %= p
-            for k, c in cs.items():
-                br[:, :, k - 1] = (br[:, :, k - 1] + c * F) % p
-        g = br[:, :, wpiv]
-        wv = np.array(w, dtype=np.int64) % p
-        if not np.array_equal(br, (g[:, :, None] * wv[None, None, :]) % p):
+    gram = [[f.zero] * q for _ in range(q)]
+    for (a, b), br in _pair_brackets(L, vecs).items():
+        coeff = br.get(wpiv, f.zero)
+        if br != _reduced({k: coeff * x for k, x in w.items()}, p):
             raise ArithmeticError("bracket escaped the derived line")
-        return [[int(x) for x in row] for row in g]
-    sub, mul, neg = f.sub, f.mul, f.neg
-
-    def form(x, y):
-        brv = _bracket_raw(L, x, y)
-        coeff = brv[wpiv]
-        if any(sub(b, mul(coeff, wk)) for b, wk in zip(brv, w)):
-            raise ArithmeticError("bracket escaped the derived line")
-        return coeff
-
-    gram = [[form(vecs[a], vecs[b]) if a < b else f.zero for b in range(q)]
-            for a in range(q)]
-    for a in range(q):
-        for b in range(a):
-            gram[a][b] = neg(gram[b][a])
+        gram[a][b] = coeff
+        gram[b][a] = f.neg(coeff)
     return gram
 
 

@@ -145,9 +145,6 @@ class PrimeField(Field):
     def render(x) -> str:
         return str(x)
 
-    def elements(self):
-        return range(self.p)
-
     def describe(self) -> dict:
         return {"kind": "prime", "p": self.p}
 

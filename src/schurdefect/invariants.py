@@ -104,11 +104,11 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
     def build(a: LieAlgebra):
         full = a.full_space()
         terms = [full]
-        while True:
-            nxt = product_subspace(a, full, terms[-1])
-            if nxt == terms[-1]:
-                break
+        nxt = derived_subalgebra(a)
+        # L^{i+1} is inside L^i, so a repeat is an equal dim
+        while nxt.dim < terms[-1].dim:
             terms.append(nxt)
+            nxt = product_subspace(a, full, nxt)
         return terms
     return _cached(L, "lcs", build)
 

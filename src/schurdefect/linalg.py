@@ -181,12 +181,6 @@ class Matrix:
             out.append(row)
         return Matrix(f, out, other.ncols)
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        self.field.check_same(other.field)
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return Matrix(self.field, self.data + other.data, self.ncols)
-
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise SingularMatrix("only square matrices are invertible")

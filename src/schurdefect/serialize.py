@@ -8,14 +8,15 @@ Indices are 1-based with i < j required; rhs keys are decimal basis indices;
 scalar strings follow the exact-field grammar and must be canonical (the
 format is bit-exact: parsing then rendering reproduces the input scalar).
 "dim" may not exceed `MAX_DIM` (512); a larger one is rejected before any
-bracket is parsed.
+bracket is parsed. The list holds at most `MAX_BRACKETS` (4096) entries; a
+longer one is rejected before its first entry is parsed.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import MAX_DIM, LieAlgebra
+from .algebra import MAX_BRACKETS, MAX_DIM, LieAlgebra
 from .errors import DocumentError, ParseError
 from .fields import Field, field_from_descriptor
 
@@ -58,6 +59,9 @@ def document_to_algebra(doc) -> LieAlgebra:
     items = doc.get("brackets")
     if not isinstance(items, list):
         raise DocumentError("brackets: must be a list")
+    if len(items) > MAX_BRACKETS:
+        raise DocumentError(f"brackets: {len(items)} entries exceed the limit "
+                            f"MAX_BRACKETS = {MAX_BRACKETS}")
     table: dict = {}
     for pos, item in enumerate(items):
         where = f"brackets[{pos}]"

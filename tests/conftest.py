@@ -1,6 +1,9 @@
-"""Shared test helpers: seeded random scalars, vectors and base changes."""
+"""Shared test helpers: seeded random scalars, vectors and base changes,
+a dense textbook bracket as an oracle, and algebra documents of a given
+bracket count."""
 
 from fractions import Fraction
+from itertools import combinations, islice
 
 from schurdefect.fields import QQ, PrimeField
 from schurdefect.linalg import Matrix
@@ -55,3 +58,35 @@ def random_invertible(field, n, rng, steps=None):
 def fields_for_tests():
     from schurdefect.fields import GF
     return [QQ, GF(2), GF(3), GF(5)]
+
+
+def central_document(count):
+    """`count` brackets [e_i, e_j] = e_dim over i < j < dim: every bracket is
+    central, so Jacobi holds and its check has no candidate triple."""
+    dim = 3
+    while (dim - 1) * (dim - 2) // 2 < count:
+        dim += 1
+    pairs = islice(combinations(range(1, dim), 2), count)
+    return {"dim": dim, "field": {"kind": "prime", "p": 3},
+            "brackets": [{"lhs": [i, j], "rhs": {str(dim): "1"}} for i, j in pairs]}
+
+
+def textbook_bracket(L, x, y):
+    """sum_{i<j} (x_i y_j - x_j y_i) c_ij^k, written out densely."""
+    f = L.field
+    out = [f.zero] * L.dim
+    for (i, j), cs in L.brackets.items():
+        c = f.sub(f.mul(x[i - 1], y[j - 1]), f.mul(x[j - 1], y[i - 1]))
+        for k, v in cs.items():
+            out[k - 1] = f.add(out[k - 1], f.mul(c, v))
+    return out
+
+
+def textbook_matvec(f, m, x):
+    out = []
+    for row in m.data:
+        acc = f.zero
+        for a, b in zip(row, x):
+            acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return out

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import random_invertible, random_scalar, random_vector
+from conftest import (
+    random_invertible,
+    random_scalar,
+    random_vector,
+    textbook_bracket,
+    textbook_matvec,
+)
 from schurdefect import catalog
 from schurdefect.algebra import (
     Homomorphism,
+    LieAlgebra,
+    adjoint_matrix,
     bracket,
     change_basis,
     check_jacobi,
@@ -230,43 +239,91 @@ def test_change_basis_swap_negates():
     assert report(M) == report(H)
 
 
-def test_change_basis_modp_matches_generic():
-    # the vectorized prime-field base change must match the generic loop
-    from schurdefect.algebra import _change_basis_modp
+def test_change_basis_matches_textbook_bracket():
+    # new structure constants are P^-1 [P_a, P_b], with the bracket written
+    # out by hand, at dims 7 to 10 over four fields
     rng = random.Random(59)
-    for key, field in (("L5_6", GF(3)), ("L2_6_2", GF(2))):
-        base = catalog.get(key, field, None)
-        L = direct_sum(base, catalog.abelian(field, 4))  # dim 9/10 over GF(p)
-        for _ in range(10):
-            P = random_invertible(field, L.dim, rng)
-            fast = _change_basis_modp(L, P, P.inverse())
-            cols = [P.col(a) for a in range(L.dim)]
-            slow = {}
-            from itertools import combinations
-            for a, b in combinations(range(L.dim), 2):
-                w = bracket(L, cols[a], cols[b])
-                y = P.inverse().matvec(w)
-                cs = {k + 1: c for k, c in enumerate(y) if c}
-                if cs:
-                    slow[(a + 1, b + 1)] = cs
-            assert fast.brackets == slow
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for k in (2, 3, 4, 5):
+            L = direct_sum(catalog.get("L5_6", field), catalog.abelian(field, k))
+            for _ in range(3):
+                P = random_invertible(field, L.dim, rng)
+                Pinv = P.inverse()
+                cols = [P.col(a) for a in range(L.dim)]
+                want = {}
+                for a, b in combinations(range(L.dim), 2):
+                    w = textbook_bracket(L, cols[a], cols[b])
+                    cs = {k + 1: c for k, c in
+                          enumerate(textbook_matvec(field, Pinv, w)) if c}
+                    if cs:
+                        want[(a + 1, b + 1)] = cs
+                assert change_basis(L, P).brackets == want
 
 
-def test_homomorphism_check_paths_agree():
-    # the numpy mod-p verifier and the generic one must agree on valid and
-    # broken maps
-    rng = random.Random(47)
-    f = GF(3)
-    H = catalog.heisenberg(f, 5)  # dim 11 triggers the mod-p path
+def test_homomorphism_check_accepts_witness_rejects_perturbed():
+    # e_i -> P^-1 e_i maps L onto change_basis(L, P); one perturbed entry
+    # breaks it, which the hand-written bracket confirms pair by pair
+    def preserves(L, M, m):
+        e = [basis_vec(L.field, L.dim, a) for a in range(1, L.dim + 1)]
+        return all(textbook_matvec(L.field, m, textbook_bracket(L, e[a], e[b]))
+                   == textbook_bracket(M, m.col(a), m.col(b))
+                   for a, b in combinations(range(L.dim), 2))
+
     from schurdefect.linalg import Matrix
-    P = random_invertible(f, 11, rng)
-    M = change_basis(H, P)
-    good = Homomorphism(H, M, P.inverse())
-    assert good._check_modp() == good._check_generic() == True
-    bad_matrix = Matrix(f, [row[:] for row in P.inverse().data])
-    bad_matrix.data[0][0] = f.add(bad_matrix.data[0][0], f.one)
-    bad = Homomorphism(H, M, bad_matrix)
-    assert bad._check_modp() == bad._check_generic()
+    rng = random.Random(47)
+    for field, m in ((GF(3), 5), (GF(3), 4), (QQ, 5), (GF(2), 4), (GF(5), 5)):
+        H = catalog.heisenberg(field, m)  # dim 11 or 9
+        P = random_invertible(field, H.dim, rng)
+        M = change_basis(H, P)
+        good = Homomorphism(H, M, P.inverse())
+        assert preserves(H, M, good.matrix)
+        assert good.is_bracket_preserving()
+        bad_matrix = Matrix(field, [row[:] for row in P.inverse().data])
+        bad_matrix.data[0][0] = field.add(bad_matrix.data[0][0], field.one)
+        bad = Homomorphism(H, M, bad_matrix)
+        assert bad.is_bracket_preserving() == preserves(H, M, bad_matrix)
+        if (field, m) == (GF(3), 5):
+            assert not bad.is_bracket_preserving()
+
+
+def test_adjoint_matrix_columns_are_brackets():
+    rng = random.Random(71)
+    for field in (QQ, GF(2), GF(3)):
+        for entry in catalog.list_all(field):
+            base = catalog.get(entry.key, field, catalog.default_param(entry, field))
+            for L in (base, change_basis(base, random_invertible(field, base.dim, rng))):
+                n = L.dim
+                x = random_vector(field, n, rng)
+                ad = adjoint_matrix(L, x)
+                for j in range(n):
+                    assert ad.col(j) == bracket(L, x, basis_vec(field, n, j + 1))
+                    assert ad.col(j) == textbook_bracket(L, x, basis_vec(field, n, j + 1))
+
+
+def test_check_jacobi_matches_all_triples():
+    # random tables, most of them not Lie: the sparse candidate set must
+    # report exactly the triples an all-triples search finds
+    rng = random.Random(73)
+    for field in (GF(2), GF(3)):
+        for n in (3, 4, 5, 6):
+            for density in (0.15, 0.4, 1.0):
+                for _ in range(8):
+                    table = {}
+                    for i, j in combinations(range(1, n + 1), 2):
+                        if rng.random() < density:
+                            cs = {k: rng.randrange(1, field.p)
+                                  for k in rng.sample(range(1, n + 1), rng.randint(1, 2))}
+                            table[(i, j)] = cs
+                    L = LieAlgebra._make(field, n, table)
+                    e = lambda i: basis_vec(field, n, i)
+                    want = []
+                    for i, j, k in combinations(range(1, n + 1), 3):
+                        terms = (textbook_bracket(L, e(i), textbook_bracket(L, e(j), e(k))),
+                                 textbook_bracket(L, e(j), textbook_bracket(L, e(k), e(i))),
+                                 textbook_bracket(L, e(k), textbook_bracket(L, e(i), e(j))))
+                        if any(field.add(a, field.add(b, c)) for a, b, c in zip(*terms)):
+                            want.append((i, j, k))
+                    assert check_jacobi(L) == want
 
 
 def test_homomorphism_check_raises_on_bad_map():

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from conftest import random_invertible
+from conftest import random_invertible, textbook_bracket, textbook_matvec
 from schurdefect import catalog
 from schurdefect.algebra import change_basis, direct_sum
 from schurdefect.classify import (
@@ -86,6 +87,27 @@ def test_recognize_heisenberg_base_changed():
         assert (m, k) == (3, 2)
         assert witness.is_bracket_preserving()
         assert witness.source.dim == 9
+
+
+def test_heisenberg_witness_by_textbook_bracket():
+    # the Gram matrix of the bracket form on a complement of the center
+    # (dim q = 4 and 6) decides the Heisenberg pairs; the witness is checked
+    # pair by pair with the hand-written bracket
+    rng = random.Random(79)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for m, k in ((2, 0), (2, 3), (3, 0), (3, 2)):
+            built = direct_sum(catalog.heisenberg(field, m), catalog.abelian(field, k))
+            n = built.dim
+            M = change_basis(built, random_invertible(field, n, rng))
+            got_m, got_k, witness = recognize_heisenberg(M)
+            assert (got_m, got_k) == (m, k)
+            W = witness.matrix
+            assert Subspace.from_vectors(field, n, W.data).dim == n
+            e = [[field.one if t == a else field.zero for t in range(n)]
+                 for a in range(n)]
+            for a, b in combinations(range(n), 2):
+                image = textbook_matvec(field, W, textbook_bracket(witness.source, e[a], e[b]))
+                assert image == textbook_bracket(M, W.col(a), W.col(b))
 
 
 def test_recognize_heisenberg_identity_case():

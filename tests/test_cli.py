@@ -1,9 +1,9 @@
 import json
 import random
 
-from conftest import random_invertible
+from conftest import central_document, random_invertible
 from schurdefect import catalog
-from schurdefect.algebra import MAX_DIM, change_basis, direct_sum
+from schurdefect.algebra import MAX_BRACKETS, MAX_DIM, change_basis, direct_sum
 from schurdefect.cli import main
 from schurdefect.fields import QQ
 from schurdefect.invariants import t_invariant
@@ -175,3 +175,12 @@ def test_dim_limit(capsys, tmp_path, monkeypatch):
     assert run(capsys, "t", f"F{MAX_DIM - 3}")[0] == 0
     assert run(capsys, "filiform", str(MAX_DIM - 3))[0] == 0
     assert built == [(MAX_DIM - 1) // 2, MAX_DIM - 3, MAX_DIM - 3]
+
+
+def test_bracket_count_limit(capsys, tmp_path):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(central_document(MAX_BRACKETS + 1)))
+    code, out, err = run(capsys, "t", "--file", str(path))
+    assert code == 2 and out == "" and "brackets: " in err
+    path.write_text(json.dumps(central_document(MAX_BRACKETS)))
+    assert run(capsys, "t", "--file", str(path))[0] == 0

@@ -75,6 +75,13 @@ def test_lcs_example_l57():
     assert nilpotency_class(L) == 4
 
 
+def test_lcs_stops_at_first_repeat():
+    # sl2 over Q is perfect: L^2 = L, so the series is L alone
+    sl2 = new_algebra(QQ, 3, [((1, 2), {2: 2}), ((1, 3), {3: -2}), ((2, 3), {1: 1})])
+    assert lower_central_series(sl2) == [sl2.full_space()]
+    assert [s.dim for s in lower_central_series(non_nilpotent_example())] == [2, 1]
+
+
 def test_nilpotency_class_families():
     for n in (1, 2, 5):
         assert nilpotency_class(catalog.abelian(QQ, n)) == 1

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from conftest import central_document
 from schurdefect import catalog
-from schurdefect.algebra import MAX_DIM
+from schurdefect.algebra import MAX_BRACKETS, MAX_DIM
 from schurdefect.errors import DocumentError, NotALieAlgebra
 from schurdefect.fields import GF, QQ
 from schurdefect.serialize import (
@@ -118,3 +119,10 @@ def test_dim_limit():
            "brackets": [{"lhs": "unread"}]}
     with pytest.raises(DocumentError, match="^dim: "):
         document_to_algebra(doc)
+
+
+def test_bracket_count_limit():
+    assert MAX_BRACKETS > MAX_DIM - 2  # F(t) has t + 1 brackets, up to F(MAX_DIM - 3)
+    assert len(document_to_algebra(central_document(MAX_BRACKETS)).brackets) == MAX_BRACKETS
+    with pytest.raises(DocumentError, match=f"^brackets: {MAX_BRACKETS + 1} entries"):
+        document_to_algebra(central_document(MAX_BRACKETS + 1))
