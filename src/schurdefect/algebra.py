@@ -5,20 +5,21 @@ Antisymmetry is a representation invariant: only pairs (i, j) with i < j are
 stored, [e_j, e_i] is derived by negation and [e_i, e_i] = 0 implicitly, so
 [x, x] = 0 holds in every characteristic including 2.
 
-Every bracket of two vectors goes through one sparse primitive,
-`_pair_brackets`: for each v it builds ad(v) once from the cached
-`pairs_touching` (`_ad`) and applies it to the other vectors (`_apply`).
-Vectors are {index: nonzero} dicts, 0-based; scalars are combined with
-Python's operators and reduced mod p once per entry. Base change, quotients,
-product subspaces, the homomorphism check and the public `bracket` and
-`adjoint_matrix` all read their results from it; there is no numpy here.
+Every bracket goes through one sparse primitive, `_ad`, which builds ad(v)
+as sparse columns from the cached `pairs_touching`. `_pair_brackets` applies
+it to other vectors (`_apply`); base change, quotients, product subspaces,
+the homomorphism check and the public `bracket` and `adjoint_matrix` read
+their results from that, and `check_jacobi` reads each Jacobiator from the
+columns of ad(e_i). Vectors are {index: nonzero} dicts, 0-based; scalars are
+combined with Python's operators and reduced mod p once per entry. There is
+no numpy here.
 """
 
 from __future__ import annotations
 
 from .errors import NotALieAlgebra, NotAnIdeal
 from .fields import Field
-from .linalg import Matrix, Subspace, _dense, complement
+from .linalg import Matrix, Subspace, _dense
 
 BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero
 
@@ -28,10 +29,12 @@ BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars non
 # Jacobi validation. It stays above 103 so that F(100) remains legal.
 MAX_DIM = 512
 
-# Most bracket entries accepted in an algebra document, checked before any
-# entry is parsed. Also a fixed guard: inside MAX_DIM a full table (about
-# 130k pairs at dim 512) would still cost minutes in validation. It stays
-# above the 510 brackets of F(509), the largest family algebra allowed.
+# Most nonzero structure constants accepted in an algebra document: the
+# number of bracket entries is checked before any entry is parsed, and the
+# running total of rhs entries while they are parsed. Also a fixed guard:
+# Jacobi validation grows with the constants, not just the pairs, and inside
+# MAX_DIM a full table (about 130k pairs at dim 512) would cost minutes. It
+# stays above the 510 constants of F(509), the largest family algebra allowed.
 MAX_BRACKETS = 4096
 
 
@@ -57,23 +60,8 @@ class LieAlgebra:
         """Internal constructor for tensors that are Lie by construction."""
         return cls(field, dim, brackets, name, _validated=True)
 
-    def basis_bracket(self, i: int, j: int) -> dict:
-        """[e_i, e_j] as a sparse {k: coeff} dict (sign handled)."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        cs = self.brackets.get((j, i))
-        if not cs:
-            return {}
-        neg = self.field.neg
-        return {k: neg(c) for k, c in cs.items()}
-
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
-
-    def nnz(self) -> int:
-        return len(self.brackets)
 
     def pairs_touching(self):
         """index l -> [(partner, coeffs, negate?)] with [e_partner, w] taking
@@ -215,30 +203,15 @@ def _bracket_table(L: LieAlgebra, vecs, read) -> BracketTable:
     return table
 
 
-def _ad_dict(L: LieAlgebra, i: int, w: dict) -> dict:
-    """[e_i, w] for sparse w = {l: coeff}."""
-    f = L.field
-    add, mul = f.add, f.mul
-    out: dict = {}
-    for l, c in w.items():
-        for k, v in L.basis_bracket(i, l).items():
-            s = add(out.get(k, f.zero), mul(c, v))
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
     """All violating basis triples (i, j, k), i < j < k; empty means valid.
 
     A term [e_c, [e_a, e_b]] can be nonzero only when (a, b) is a stored
     pair and e_c brackets nontrivially with one of its targets, so only
-    those triples are candidates, not all C(n, 3).
+    those triples are candidates, not all C(n, 3). Each term is ad(e_c)
+    applied to column b of ad(e_a), with ad(e_i) built once per index; the
+    three terms are summed and reduced mod p once.
     """
-    f = L.field
-    add = f.add
     touch = L.pairs_touching()
     candidates = set()
     for (a, b), cs in L.brackets.items():
@@ -246,19 +219,17 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
             for c, _, _ in touch.get(k, ()):
                 if c != a and c != b:
                     candidates.add(tuple(sorted((a, b, c))))
+    one, p = L.field.one, L.field.characteristic
+    ads = {i: _ad(L, {i - 1: one}) for i in {i for t in candidates for i in t}}
     bad = []
     for (i, j, k) in sorted(candidates):
         acc: dict = {}
-        for (p, w) in ((i, L.basis_bracket(j, k)),
-                       (j, L.basis_bracket(k, i)),
-                       (k, L.basis_bracket(i, j))):
-            for idx, c in _ad_dict(L, p, w).items():
-                s = add(acc.get(idx, f.zero), c)
-                if s:
-                    acc[idx] = s
-                else:
-                    acc.pop(idx, None)
-        if acc:
+        for c, a, b in ((i, j, k), (j, k, i), (k, i, j)):
+            outer = ads[c]
+            for l, x in ads[a].get(b - 1, {}).items():
+                for m, y in outer.get(l, {}).items():
+                    acc[m] = acc.get(m, 0) + x * y
+        if _reduced(acc, p):
             bad.append((i, j, k))
     return bad
 
@@ -302,26 +273,28 @@ def _brackets_with_full(L: LieAlgebra, v: Subspace):
 def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"]:
     """L / I on the canonical pivot-complement basis, with the projection map.
 
-    Jacobi holds by construction but is re-checked on the quotient table.
+    The complement is spanned by the unit vectors e_c, c not a pivot of I,
+    so the projection of a vector is its remainder modulo I's RREF rows,
+    re-indexed by those columns. Jacobi holds by construction but is
+    re-checked on the quotient table.
     """
     L.field.check_same(ideal.field)
     if ideal.ambient_dim != L.dim:
         raise ValueError("ideal ambient dimension must equal the algebra dimension")
-    full = L.full_space()
-    if not ideal.contains_subspace(product_subspace(L, full, ideal)):
+    if not ideal.contains_subspace(product_subspace(L, L.full_space(), ideal)):
         raise NotAnIdeal("[L, I] is not contained in I")
-    comp = complement(ideal, full)
-    q = comp.dim
     f = L.field
-    cols = Matrix(f, [list(r) for r in comp.basis] + [list(r) for r in ideal.basis],
-                  L.dim).transpose()
-    proj_full = cols.inverse()
-    proj = Matrix(f, proj_full.data[:q], L.dim)
-    pcols = _sparse_columns(proj)
-    table = _bracket_table(L, comp.rows(),
-                           lambda w: _apply(pcols, w, f.characteristic))
+    pivots = set(ideal.pivots)
+    index = {c: a for a, c in enumerate(c for c in range(L.dim) if c not in pivots)}
+    # column j of the projection: the remainder of e_j, re-indexed
+    cols = {j: {index[c]: x for c, x in sorted(ideal._reduce({j: f.one})[1].items())}
+            for j in range(L.dim)}
+    table = _bracket_table(L, [{c: f.one} for c in index],
+                           lambda w: _apply(cols, w, f.characteristic))
+    proj = Matrix(f, [[cols[j].get(a, f.zero) for j in range(L.dim)]
+                      for a in range(len(index))], L.dim)
     name = f"{L.name}/I" if L.name else None
-    Q = LieAlgebra(f, q, table, name)  # re-validates Jacobi
+    Q = LieAlgebra(f, len(index), table, name)  # re-validates Jacobi
     return Q, Homomorphism(L, Q, proj)
 
 

@@ -243,9 +243,5 @@ def list_all(field: Field) -> list[CatalogEntry]:
     return out
 
 
-def keys() -> list[str]:
-    return [row[0] for row in _TABLE_DATA]
-
-
 def is_family_key(key: str) -> bool:
     return bool(_FAMILY_RE.fullmatch(key))

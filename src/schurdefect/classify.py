@@ -37,7 +37,7 @@ from .invariants import (
     report,
     t_invariant,
 )
-from .linalg import Matrix, _dense, complement, subspace_intersect, subspace_sum
+from .linalg import Matrix, complement, subspace_intersect, subspace_sum
 
 ABELIAN = "abelian"
 HEISENBERG_SUM = "heisenberg_sum"
@@ -97,7 +97,7 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     q = t_space.dim
 
     def read(w):
-        coords = t_space.coordinates(_dense(w, L.dim, f.zero))
+        coords = t_space.coordinates(w)
         if coords is None:
             raise ArithmeticError("bracket of stem vectors left the stem")
         return {k: c for k, c in enumerate(coords) if c}
@@ -106,7 +106,7 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     name = f"stem({L.name})" if L.name else None
     T = new_algebra(f, q, table.items(), name=name)
     k = a_part.dim
-    columns = [list(r) for r in t_space.basis] + [list(r) for r in a_part.basis]
+    columns = t_space.basis + a_part.basis
     matrix = Matrix(f, [[columns[c][r] for c in range(len(columns))]
                         for r in range(L.dim)], len(columns))
     witness = Homomorphism(direct_sum(T, abelian(f, k)), L, matrix)
@@ -128,10 +128,10 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     z = center(L)
     if not z.contains_subspace(l2):
         raise DerivedNotLine("derived line is not central (algebra is not nilpotent)")
-    w = list(l2.basis[0])
+    w = l2.basis[0]
     comp = complement(z, L.full_space())
     q = comp.dim
-    vecs = [list(r) for r in comp.basis]
+    vecs = comp.basis
     sub, mul, div, neg = f.sub, f.mul, f.div, f.neg
     gram = _gram_on_line(L, comp.rows(), l2.rows()[0], l2.pivots[0])
     remaining = list(range(q))
@@ -180,7 +180,7 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
         columns.append(vecs[a])
         columns.append(vecs[b])
     columns.append(w)
-    columns.extend(list(r) for r in ab_part.basis)
+    columns.extend(ab_part.basis)
     matrix = Matrix(f, [[columns[c][r] for c in range(len(columns))]
                         for r in range(L.dim)], len(columns))
     source = _heisenberg_sum(f, m, k)

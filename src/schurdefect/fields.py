@@ -71,11 +71,6 @@ class RationalField(Field):
             return Fraction(x)
         raise TypeError(f"not a rational scalar: {x!r}")
 
-    def validate(self, x) -> Fraction:
-        if not isinstance(x, (Fraction, int)):
-            raise TypeError(f"not a rational scalar: {x!r}")
-        return self.coerce(x)
-
     def parse(self, text: str) -> Fraction:
         if not _RATIONAL_RE.fullmatch(text):
             raise ParseError(f"malformed rational scalar: {text!r}")
@@ -127,11 +122,6 @@ class PrimeField(Field):
         if isinstance(x, int):
             return x % self.p
         raise TypeError(f"not a GF({self.p}) scalar: {x!r}")
-
-    def validate(self, x) -> int:
-        if not isinstance(x, int):
-            raise TypeError(f"not a GF({self.p}) scalar: {x!r}")
-        return x % self.p
 
     def parse(self, text: str) -> int:
         if not _RESIDUE_RE.fullmatch(text):

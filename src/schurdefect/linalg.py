@@ -3,10 +3,10 @@
 Every elimination runs through one sparse Gauss-Jordan kernel, `_rref_rows`,
 over rows kept as {column: nonzero scalar} dicts. It takes dense lists or
 such dicts and returns the fully reduced row-echelon form, which is
-canonical. A Subspace keeps that form twice: as its dense RREF basis, whose
-entry-wise equality is subspace equality (there are no tolerances anywhere),
-and as the kernel's sparse rows, read through `Subspace.rows()` by callers
-that visit only nonzero entries.
+canonical. A Subspace keeps only that form, the kernel's sparse rows: their
+equality is subspace equality (there are no tolerances anywhere), and
+reduction, containment and complements visit only nonzero entries. The
+dense `Subspace.basis` is built from them when read.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ def _rref_rows(field: Field, rows):
     for pc in reversed(pivots):
         tail = tails[pc]
         for h in [c for c in tail if c in tails]:
-            _sub_scaled(tail, tail.pop(h), tails[h], p, tails, [])
+            _sub_scaled(tail, tail.pop(h), tails[h], p)
     return [{pc: one, **tails[pc]} for pc in pivots], pivots
 
 
-def _sub_scaled(r: dict, c, src: dict, p: int, tails: dict, todo: list) -> None:
+def _sub_scaled(r: dict, c, src: dict, p: int, tails=(), todo=None) -> None:
     """r -= c * src in place, dropping zeros (p is 0 over Q); each pivot
     column of `tails` that r gains goes on the heap `todo`."""
     for k, y in src.items():
@@ -133,16 +133,8 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
-    def row(self, i):
-        return list(self.data[i])
-
     def col(self, j):
         return [r[j] for r in self.data]
-
-    def transpose(self) -> "Matrix":
-        if self.nrows == 0:
-            return Matrix(self.field, [[] for _ in range(self.ncols)], 0)
-        return Matrix(self.field, [list(c) for c in zip(*self.data)], self.nrows)
 
     def matvec(self, x):
         """m @ x for a column vector x (length ncols); skips zero entries of x."""
@@ -198,9 +190,6 @@ class Matrix:
         return Matrix(f, [[r.get(c, z) for c in range(n, 2 * n)]
                           for r in reduced[:n]], n)
 
-    def is_zero(self) -> bool:
-        return all(not x for r in self.data for x in r)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -225,94 +214,85 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 class Subspace:
-    """Subspace of F^n, canonically represented by an RREF basis matrix.
+    """Subspace of F^n, canonically represented by its sparse RREF rows.
 
-    `basis` holds the dense rows; `rows()` gives the same rows as sparse
-    {col: x} dicts, kept from the elimination or derived once on demand.
+    `rows()` are {col: nonzero} dicts sorted by pivot, each 1 at its pivot
+    and 0 at the other pivots, so equal subspaces have equal rows. `basis`
+    builds the same rows as dense lists on each read.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_rows")
+    __slots__ = ("field", "ambient_dim", "_rows", "pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, basis_rows, pivots):
+    def __init__(self, field: Field, ambient_dim: int, rows, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = [list(r) for r in basis_rows]
+        self._rows = rows
         self.pivots = tuple(pivots)
-        self._rows = None
-
-    @classmethod
-    def _from_rows(cls, field, ambient_dim, rows, pivots) -> "Subspace":
-        s = cls.__new__(cls)
-        s.field = field
-        s.ambient_dim = ambient_dim
-        s.basis = [_dense(r, ambient_dim, field.zero) for r in rows]
-        s.pivots = tuple(pivots)
-        s._rows = rows
-        return s
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
         """Span of `vectors`, dense lists or sparse {col: x} dicts."""
-        rows, pivots = _rref_rows(field, vectors)
-        return cls._from_rows(field, ambient_dim, rows, pivots)
+        return cls(field, ambient_dim, *_rref_rows(field, vectors))
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
-        return cls._from_rows(field, ambient_dim, [], ())
+        return cls(field, ambient_dim, [], ())
 
     @classmethod
     def full(cls, field, ambient_dim) -> "Subspace":
         one = field.one
-        return cls._from_rows(field, ambient_dim,
-                              [{i: one} for i in range(ambient_dim)],
-                              range(ambient_dim))
+        return cls(field, ambient_dim, [{i: one} for i in range(ambient_dim)],
+                   range(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
+
+    @property
+    def basis(self) -> list[list]:
+        """The RREF rows as dense lists, built on each read."""
+        n, z = self.ambient_dim, self.field.zero
+        return [_dense(r, n, z) for r in self._rows]
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
     def rows(self) -> list[dict]:
-        """The RREF basis rows as sparse {col: nonzero} dicts."""
-        if self._rows is None:
-            self._rows = [{c: x for c, x in enumerate(r) if x} for r in self.basis]
+        """The RREF rows as sparse {col: nonzero} dicts; not to be mutated."""
         return self._rows
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis, self.ambient_dim)
-
     def _reduce(self, vector):
-        """(coordinates, remainder) of `vector` against the RREF rows."""
-        if len(vector) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        sub, mul = self.field.sub, self.field.mul
-        r = list(vector)
-        coords = []
-        for row, pc in zip(self.rows(), self.pivots):
-            c = r[pc]
-            coords.append(c)
+        """(coordinates, remainder) of `vector`, a dense list or a sparse
+        {col: x} dict, against the RREF rows. The rows vanish on each
+        other's pivots, so coordinate i is the entry at pivot i; the
+        remainder is a sparse dict on the non-pivot columns."""
+        if not isinstance(vector, dict):
+            if len(vector) != self.ambient_dim:
+                raise ValueError("ambient dimension mismatch")
+            vector = dict(enumerate(vector))
+        zero, p = self.field.zero, self.field.characteristic
+        coords = [vector.get(pc, zero) for pc in self.pivots]
+        rest = {c: x for c, x in vector.items() if x}
+        for c, row in zip(coords, self._rows):
             if c:
-                for k, y in row.items():
-                    r[k] = sub(r[k], mul(c, y))
-        return coords, r
+                _sub_scaled(rest, c, row, p)
+        return coords, rest
 
     def contains(self, vector) -> bool:
-        return not any(self._reduce(vector)[1])
+        return not self._reduce(vector)[1]
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return all(not self._reduce(r)[1] for r in other._rows)
 
     def coordinates(self, vector):
         """Coefficients of `vector` in the RREF basis; None if not contained."""
         coords, rest = self._reduce(vector)
-        return None if any(rest) else coords
+        return None if rest else coords
 
     def equation_rows(self) -> list[dict]:
         """Independent sparse functionals whose common zeros are self: one
         per non-pivot column c, e_c* - sum_i basis[i][c] e*_{p_i}."""
-        return _null_vectors(self.field, self.rows(), self.pivots,
+        return _null_vectors(self.field, self._rows, self.pivots,
                              self.ambient_dim)
 
     def equations(self) -> Matrix:
@@ -324,11 +304,11 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.field == other.field and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self._rows == other._rows)
 
     def __hash__(self):
         return hash((self.field, self.ambient_dim,
-                     tuple(tuple(r) for r in self.basis)))
+                     tuple(tuple(sorted(r.items())) for r in self._rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.field})"
@@ -358,9 +338,10 @@ def complement(inner: Subspace, outer: Subspace) -> Subspace:
     if not outer.contains_subspace(inner):
         raise NotContained("inner subspace is not contained in outer")
     innerpivs = set(inner.pivots)
-    rows = [r for r, pc in zip(outer.basis, outer.pivots) if pc not in innerpivs]
-    pivots = [pc for pc in outer.pivots if pc not in innerpivs]
-    return Subspace(inner.field, inner.ambient_dim, rows, pivots)
+    kept = [(r, pc) for r, pc in zip(outer.rows(), outer.pivots)
+            if pc not in innerpivs]
+    return Subspace(inner.field, inner.ambient_dim, [r for r, _ in kept],
+                    [pc for _, pc in kept])
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:

@@ -8,8 +8,11 @@ Indices are 1-based with i < j required; rhs keys are decimal basis indices;
 scalar strings follow the exact-field grammar and must be canonical (the
 format is bit-exact: parsing then rendering reproduces the input scalar).
 "dim" may not exceed `MAX_DIM` (512); a larger one is rejected before any
-bracket is parsed. The list holds at most `MAX_BRACKETS` (4096) entries; a
-longer one is rejected before its first entry is parsed.
+bracket is parsed. The document holds at most `MAX_BRACKETS` (4096) nonzero
+structure constants, the rhs entries of all brackets together. A list of more
+entries is rejected before its first entry is parsed; otherwise the first rhs
+that passes the limit is rejected before its scalars are parsed, so Jacobi
+validation never runs on an over-limit table.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ def document_to_algebra(doc) -> LieAlgebra:
         raise DocumentError(f"brackets: {len(items)} entries exceed the limit "
                             f"MAX_BRACKETS = {MAX_BRACKETS}")
     table: dict = {}
+    constants = 0
     for pos, item in enumerate(items):
         where = f"brackets[{pos}]"
         if not isinstance(item, dict) or set(item) != {"lhs", "rhs"}:
@@ -79,6 +83,10 @@ def document_to_algebra(doc) -> LieAlgebra:
         rhs = item["rhs"]
         if not isinstance(rhs, dict) or not rhs:
             raise DocumentError(f"{where}.rhs: expected a non-empty object")
+        constants += len(rhs)
+        if constants > MAX_BRACKETS:
+            raise DocumentError(f"{where}.rhs: {constants} structure constants "
+                                f"exceed the limit MAX_BRACKETS = {MAX_BRACKETS}")
         cs = {}
         for key, text in rhs.items():
             if not isinstance(key, str) or not key.isdigit() or str(int(key)) != key:

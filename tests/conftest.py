@@ -60,15 +60,20 @@ def fields_for_tests():
     return [QQ, GF(2), GF(3), GF(5)]
 
 
-def central_document(count):
-    """`count` brackets [e_i, e_j] = e_dim over i < j < dim: every bracket is
-    central, so Jacobi holds and its check has no candidate triple."""
-    dim = 3
-    while (dim - 1) * (dim - 2) // 2 < count:
-        dim += 1
-    pairs = islice(combinations(range(1, dim), 2), count)
-    return {"dim": dim, "field": {"kind": "prime", "p": 3},
-            "brackets": [{"lhs": [i, j], "rhs": {str(dim): "1"}} for i, j in pairs]}
+def central_document(count, width=1):
+    """`count` structure constants in brackets [e_i, e_j] = e_{m+1} + ... +
+    e_{m+width} over i < j <= m (the last bracket may take fewer): every
+    target is central, so Jacobi holds and its check has no candidate
+    triple. With width 1 there are `count` brackets."""
+    npairs = -(-count // width)
+    m = 2
+    while m * (m - 1) // 2 < npairs:
+        m += 1
+    pairs = islice(combinations(range(1, m + 1), 2), npairs)
+    brackets = [{"lhs": [i, j],
+                 "rhs": {str(m + t): "1" for t in range(1, min(width, count - a * width) + 1)}}
+                for a, (i, j) in enumerate(pairs)]
+    return {"dim": m + width, "field": {"kind": "prime", "p": 3}, "brackets": brackets}
 
 
 def textbook_bracket(L, x, y):

@@ -302,16 +302,20 @@ def test_adjoint_matrix_columns_are_brackets():
 
 def test_check_jacobi_matches_all_triples():
     # random tables, most of them not Lie: the sparse candidate set must
-    # report exactly the triples an all-triples search finds
+    # report exactly the triples an all-triples search finds; over Q the
+    # coefficients +-1, +-2 and 1/2 exercise the exact (p = 0) reduction
     rng = random.Random(73)
-    for field in (GF(2), GF(3)):
+    rational = (F(1), F(-1), F(2), F(-2), Fraction(1, 2))
+    for field in (GF(2), GF(3), QQ):
+        outcomes = set()
         for n in (3, 4, 5, 6):
             for density in (0.15, 0.4, 1.0):
                 for _ in range(8):
                     table = {}
                     for i, j in combinations(range(1, n + 1), 2):
                         if rng.random() < density:
-                            cs = {k: rng.randrange(1, field.p)
+                            cs = {k: rng.randrange(1, field.p) if field.characteristic
+                                  else rng.choice(rational)
                                   for k in rng.sample(range(1, n + 1), rng.randint(1, 2))}
                             table[(i, j)] = cs
                     L = LieAlgebra._make(field, n, table)
@@ -324,6 +328,8 @@ def test_check_jacobi_matches_all_triples():
                         if any(field.add(a, field.add(b, c)) for a, b, c in zip(*terms)):
                             want.append((i, j, k))
                     assert check_jacobi(L) == want
+                    outcomes.add(bool(want))
+        assert outcomes == {False, True}
 
 
 def test_homomorphism_check_raises_on_bad_map():

@@ -177,6 +177,17 @@ def test_dim_limit(capsys, tmp_path, monkeypatch):
     assert built == [(MAX_DIM - 1) // 2, MAX_DIM - 3, MAX_DIM - 3]
 
 
+def test_structure_constant_limit(capsys, tmp_path):
+    path = tmp_path / "dense.json"
+    over = central_document(MAX_BRACKETS + 1, width=2)
+    path.write_text(json.dumps(over))
+    code, out, err = run(capsys, "t", "--file", str(path))
+    assert code == 2 and out == ""
+    assert f"brackets[{len(over['brackets']) - 1}].rhs: {MAX_BRACKETS + 1} " in err
+    path.write_text(json.dumps(central_document(MAX_BRACKETS, width=2)))
+    assert run(capsys, "t", "--file", str(path))[0] == 0
+
+
 def test_bracket_count_limit(capsys, tmp_path):
     path = tmp_path / "many.json"
     path.write_text(json.dumps(central_document(MAX_BRACKETS + 1)))

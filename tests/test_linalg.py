@@ -205,3 +205,47 @@ def test_equations_roundtrip():
                                        for _ in range(rng.randint(0, 4))])
             eqs = u.equations()
             assert kernel(eqs) == u
+
+
+def test_subspace_sparse_rows_are_the_whole_representation():
+    # the dense basis is read from the sparse RREF rows: it spans the same
+    # space, equal spaces from different spanning sets hash alike, dense and
+    # sparse vectors reduce alike, and changing a basis read changes nothing
+    rng = random.Random(31)
+    for field in fields_for_tests():
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            vecs = [random_vector(field, n, rng) for _ in range(rng.randint(0, n))]
+            S = Subspace.from_vectors(field, n, vecs)
+            basis = S.basis
+            assert Subspace.from_vectors(field, n, basis) == S
+            assert all(len(b) == n and b[pc] == field.one
+                       for b, pc in zip(basis, S.pivots))
+
+            def combination():
+                out = [field.zero] * n
+                for v in vecs:
+                    c = random_scalar(field, rng)
+                    out = [field.add(x, field.mul(c, y)) for x, y in zip(out, v)]
+                return out
+
+            other = [combination() for _ in range(len(vecs) + 2)] + vecs[::-1]
+            T = Subspace.from_vectors(field, n, other)
+            assert T == S and hash(T) == hash(S)
+            for x in (combination(), random_vector(field, n, rng)):
+                sparse = {c: v for c, v in enumerate(x) if v}
+                assert S.contains(x) == S.contains(sparse)
+                coords = S.coordinates(x)
+                assert coords == S.coordinates(sparse)
+                if coords is not None:
+                    back = [field.zero] * n
+                    for c, b in zip(coords, basis):
+                        back = [field.add(y, field.mul(c, z)) for y, z in zip(back, b)]
+                    assert back == x
+            assert all(S.contains(v) for v in vecs)
+            if basis:
+                read = S.basis
+                read[0][-1] = field.add(read[0][-1], field.one)
+                read.append([field.one] * n)
+                assert S.basis == basis
+                assert S == Subspace.from_vectors(field, n, vecs)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import central_document
-from schurdefect import catalog
+from schurdefect import algebra, catalog
 from schurdefect.algebra import MAX_BRACKETS, MAX_DIM
 from schurdefect.errors import DocumentError, NotALieAlgebra
 from schurdefect.fields import GF, QQ
@@ -119,6 +119,24 @@ def test_dim_limit():
            "brackets": [{"lhs": "unread"}]}
     with pytest.raises(DocumentError, match="^dim: "):
         document_to_algebra(doc)
+
+
+def test_structure_constant_limit(monkeypatch):
+    # two constants per bracket: the entry count stays within MAX_BRACKETS,
+    # the constant count reaches MAX_BRACKETS + 1 on the last bracket
+    L = document_to_algebra(central_document(MAX_BRACKETS, width=2))
+    assert sum(len(cs) for cs in L.brackets.values()) == MAX_BRACKETS
+    over = central_document(MAX_BRACKETS + 1, width=2)
+    last = len(over["brackets"]) - 1
+    assert last < MAX_BRACKETS
+
+    def no_jacobi(_):
+        raise AssertionError("Jacobi validation ran on an over-limit document")
+
+    monkeypatch.setattr(algebra, "check_jacobi", no_jacobi)
+    with pytest.raises(DocumentError, match=rf"^brackets\[{last}\]\.rhs: "
+                                            f"{MAX_BRACKETS + 1} structure constants"):
+        document_to_algebra(over)
 
 
 def test_bracket_count_limit():
