@@ -181,11 +181,13 @@ def _pair_brackets(L: LieAlgebra, vs, us=None) -> dict:
     p = L.field.characteristic
     out = {}
     for a, v in enumerate(vs):
+        ad = _ad(L, v)
+        if not ad:
+            continue
         targets = enumerate(us) if us is not None else enumerate(vs[a + 1:], a + 1)
-        ad = None
         for b, u in targets:
-            if ad is None:
-                ad = _ad(L, v)
+            if ad.keys().isdisjoint(u):
+                continue
             w = _apply(ad, u, p)
             if w:
                 out[(a, b)] = w
@@ -210,8 +212,14 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
     pair and e_c brackets nontrivially with one of its targets, so only
     those triples are candidates, not all C(n, 3). Each term is ad(e_c)
     applied to column b of ad(e_a), with ad(e_i) built once per index; the
-    three terms are summed and reduced mod p once.
+    three terms are summed and reduced mod p once. Over Q the integral
+    constants enter as ints, since Fraction arithmetic is most of the cost.
     """
+    p = L.field.characteristic
+    if not p:
+        L = LieAlgebra._make(L.field, L.dim, {
+            pq: {k: c.numerator if c.denominator == 1 else c for k, c in cs.items()}
+            for pq, cs in L.brackets.items()})
     touch = L.pairs_touching()
     candidates = set()
     for (a, b), cs in L.brackets.items():
@@ -219,8 +227,7 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
             for c, _, _ in touch.get(k, ()):
                 if c != a and c != b:
                     candidates.add(tuple(sorted((a, b, c))))
-    one, p = L.field.one, L.field.characteristic
-    ads = {i: _ad(L, {i - 1: one}) for i in {i for t in candidates for i in t}}
+    ads = {i: _ad(L, {i - 1: 1}) for i in {i for t in candidates for i in t}}
     bad = []
     for (i, j, k) in sorted(candidates):
         acc: dict = {}

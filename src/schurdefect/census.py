@@ -6,15 +6,20 @@ contributing n coefficient digits. Candidates are filtered by the Jacobi
 identity and nilpotency; surviving tensors get full invariant reports and
 classification verdicts through the exact algebra stack.
 
-Two filter engines exist: a vectorized bit-packed one for GF(2) (subspace
-spans live in per-candidate bitsets over the 2^n vectors) and a plain-Python
-digit engine for GF(3); they are cross-checked in the test suite. Rows are
-always produced by the exact stack, never by the filters.
+One filter serves every prime. It reads the structure constants as digits:
+the low digits of an id as uint8 arrays, computed once for every offset
+below a block size and cached, the high digits as Python ints, so ids of any
+size stay exact. It checks Jacobi one basis triple at a time over a block
+and runs the lower central series once, vectorized over every Jacobi
+survivor of its range. The test suite checks it against the exact stack.
+Rows are always produced by the exact stack, never by the filter.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 from dataclasses import dataclass, field as dc_field
 from multiprocessing import Pool
 
@@ -30,8 +35,6 @@ CSV_HEADER = "tensor_id,n,dim_derived,dim_center,d,t,verdict"
 
 # budget guard: anything past these sizes must be forced explicitly
 _MAX_DIM = {2: 4, 3: 3}
-
-_CHUNK = 1 << 20
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -118,219 +121,176 @@ class BoundsVerdict:
 
 
 # ---------------------------------------------------------------------------
-# plain-Python digit engine (any small prime)
+# the filter: Jacobi and nilpotency on base-p digit arrays
 # ---------------------------------------------------------------------------
 
-def _digits(tensor_id: int, ndigits: int, p: int) -> list[int]:
+# Ids are split into a base, a multiple of p^a, and an offset below p^a, where
+# p^a is the largest power of p not above _BLOCK (capped at the digit count).
+# The a low digits of every offset are uint8 arrays, built once per (p, a);
+# the high digits of a base are Python ints, so ids of any size stay exact.
+_BLOCK = 1 << 16
+
+
+@functools.cache
+def _low_digit_arrays(p: int, a: int) -> np.ndarray:
+    """(a, p^a) uint8, read-only: row d holds digit d of every offset
+    0 .. p^a - 1."""
+    offsets = np.arange(p ** a)
+    digits = np.empty((a, p ** a), dtype=np.uint8)
+    for d in range(a):
+        offsets, digits[d] = np.divmod(offsets, p)
+    digits.flags.writeable = False
+    return digits
+
+
+def _jacobi_terms(n: int) -> list[list[list[tuple[int, int, int]]]]:
+    """Per triple i < j < k and output index m, the Jacobiator
+    [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] at e_m as
+    (sign, x, y) terms: sign * digit x * digit y."""
+    pidx = {pq: a for a, pq in enumerate(_pairs(n))}
+
+    def coeff(i, j, k):  # c(i, j, k) = [e_i, e_j] at e_k: (sign, digit)
+        if i < j:
+            return 1, pidx[(i, j)] * n + k - 1
+        return -1, pidx[(j, i)] * n + k - 1
+
     out = []
-    t = tensor_id
-    for _ in range(ndigits):
-        t, d = divmod(t, p)
-        out.append(d)
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        per_m = []
+        for m in range(1, n + 1):
+            terms = []
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for l in range(1, n + 1):
+                    if l != x:
+                        s1, d1 = coeff(y, z, l)
+                        s2, d2 = coeff(x, l, m)
+                        terms.append((s1 * s2, d1, d2))
+            per_m.append(terms)
+        out.append(per_m)
     return out
 
 
-def _filter_range_python(n: int, p: int, lo: int, hi: int):
-    """Jacobi + nilpotency filter; returns (lie_count, nilpotent_ids)."""
-    pairs = _pairs(n)
-    npairs = len(pairs)
-    pidx = {pq: a for a, pq in enumerate(pairs)}
-    triples = list(itertools.combinations(range(1, n + 1), 3))
-    zero = (0,) * n
+def _echelon(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward elimination mod p of a stack of (rows, n) matrices.
 
-    def basis_bracket(tab, i, j):
-        if i == j:
-            return zero
-        if i < j:
-            return tab[pidx[(i, j)]]
-        return tuple((-c) % p for c in tab[pidx[(j, i)]])
-
-    def ad_vec(tab, i, v):
-        acc = [0] * n
-        for l in range(1, n + 1):
-            c = v[l - 1]
-            if c:
-                bb = basis_bracket(tab, i, l)
-                for k in range(n):
-                    acc[k] = (acc[k] + c * bb[k]) % p
-        return acc
-
-    def jacobi_ok(tab):
-        for (i, j, k) in triples:
-            a = ad_vec(tab, i, basis_bracket(tab, j, k))
-            b = ad_vec(tab, j, basis_bracket(tab, k, i))
-            c = ad_vec(tab, k, basis_bracket(tab, i, j))
-            if any((a[s] + b[s] + c[s]) % p for s in range(n)):
-                return False
-        return True
-
-    def span(vectors):
-        basis = []
-        for v in vectors:
-            v = list(v)
-            for bv, piv in basis:
-                f = v[piv]
-                if f:
-                    inv = pow(bv[piv], p - 2, p)
-                    fb = f * inv % p
-                    v = [(x - fb * y) % p for x, y in zip(v, bv)]
-            piv = next((s for s in range(n) if v[s]), None)
-            if piv is not None:
-                basis.append((v, piv))
-        return basis
-
-    def nilpotent(tab):
-        basis = span([t for t in tab if any(t)])
-        d = len(basis)
-        while True:
-            if d == 0:
-                return True
-            if d == n:
-                return False
-            nxt = []
-            for bv, _ in basis:
-                for i in range(1, n + 1):
-                    w = ad_vec(tab, i, bv)
-                    if any(w):
-                        nxt.append(w)
-            nbasis = span(nxt)
-            nd = len(nbasis)
-            if nd == d:
-                return False
-            d, basis = nd, nbasis
-
-    lie = 0
-    nilp_ids = []
-    ndigits = n * npairs
-    for tid in range(lo, hi):
-        digits = _digits(tid, ndigits, p)
-        tab = [tuple(digits[a * n:(a + 1) * n]) for a in range(npairs)]
-        if jacobi_ok(tab):
-            lie += 1
-            if nilpotent(tab):
-                nilp_ids.append(tid)
-    return lie, nilp_ids
+    Returns (E, rank): E[:, c] is the row with leading 1 at column c, or
+    zero when column c has no pivot, so E spans the same row space."""
+    N, R, n = M.shape
+    E = np.zeros((N, n, n), dtype=M.dtype)
+    if not R:
+        return E, np.zeros(N, dtype=np.int64)
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=M.dtype)
+    at = np.arange(N)
+    for c in range(n):
+        col = M[:, :, c]
+        row = M[at, (col != 0).argmax(1)]
+        row = row * inv[row[:, c]][:, None] % p
+        M = (M + (p - col)[:, :, None] * row[:, None, :]) % p
+        E[:, c] = row
+    return E, E[:, np.arange(n), np.arange(n)].sum(1, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# vectorized GF(2) engine (n <= 4: subspace bitsets over the 2^n vectors)
-# ---------------------------------------------------------------------------
-
-_gf2_tables: dict[int, tuple] = {}
-
-
-def _gf2_table(n: int):
-    cached = _gf2_tables.get(n)
-    if cached is not None:
-        return cached
-    V = 1 << n
-    subspaces = {1: []}
-    frontier = [1]
-    while frontier:
-        new = []
-        for bs in frontier:
-            basis = subspaces[bs]
-            for v in range(1, V):
-                if (bs >> v) & 1:
-                    continue
-                shifted = 0
-                t = bs
-                while t:
-                    w = (t & -t).bit_length() - 1
-                    t &= t - 1
-                    shifted |= 1 << (w ^ v)
-                nbs = bs | shifted
-                if nbs not in subspaces:
-                    subspaces[nbs] = basis + [v]
-                    new.append(nbs)
-        frontier = new
-    dim = np.zeros(1 << V, dtype=np.uint8)
-    basis_tab = np.zeros((1 << V, n), dtype=np.uint32)
-    for bs, basis in subspaces.items():
-        dim[bs] = len(basis)
-        for r, v in enumerate(basis):
-            basis_tab[bs, r] = v
-    butterflies = []
-    for j in range(n):
-        s = 1 << j
-        lo = 0
-        for v in range(V):
-            if not (v & s):
-                lo |= 1 << v
-        butterflies.append((np.uint32(lo), np.uint32(((1 << V) - 1) ^ lo), s))
-    cached = (dim, basis_tab, butterflies)
-    _gf2_tables[n] = cached
-    return cached
+def _nilpotent(C: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Which of the Lie tensors C (N, pairs, n) are nilpotent: the lower
+    central series run on all of them at once, each dropped once it reaches
+    0 or repeats a dimension."""
+    B = np.zeros((len(C), n, n, n), dtype=C.dtype)  # [e_i, e_l] at e_m
+    for a, (i, j) in enumerate(_pairs(n)):
+        B[:, i - 1, j - 1] = C[:, a]
+        B[:, j - 1, i - 1] = (p - C[:, a]) % p
+    W, d = _echelon(C, p)
+    nilp = d == 0
+    live = np.flatnonzero((d > 0) & (d < n))
+    B, W, d = B[live], W[live], d[live]
+    while len(live):
+        V = np.matmul(W[:, None], B) % p  # [e_i, w_r] for every i, r
+        W, nd = _echelon(V.reshape(len(live), n * n, n), p)
+        nilp[live[nd == 0]] = True
+        keep = (nd > 0) & (nd < d)
+        live, B, W, d = live[keep], B[keep], W[keep], nd[keep]
+    return nilp
 
 
-def _gf2_close(bs, masks, n, butterflies):
-    for m in masks:
-        t = bs
-        for j in range(n):
-            lo, hi, s = butterflies[j]
-            cond = ((m >> j) & 1).astype(bool)
-            shifted = ((t & lo) << s) | ((t & hi) >> s)
-            t = np.where(cond, shifted, t)
-        bs = bs | t
-    return bs
+def _vanishes(terms, digits, high, p: int) -> np.ndarray:
+    """Where sum(sign * digit x * digit y) = 0 mod p over a block: digits
+    below len(digits) are arrays, the rest are the ints high[x - len(digits)].
+    A term with a zero high digit is skipped; -1 is applied as p - 1."""
+    a = len(digits)
+    const, lin, pos, negs = 0, {}, [], []
+    for s, x, y in terms:
+        if x >= a and y >= a:
+            const += s * high[x - a] * high[y - a]
+        elif x >= a or y >= a:
+            u, h = min(x, y), high[max(x, y) - a]
+            if h:
+                lin[u] = lin.get(u, 0) + s * h
+        else:
+            (pos if s > 0 else negs).append(digits[x] * digits[y])
+    acc = np.full(len(digits[0]), const % p, dtype=digits[0].dtype)
+    for u, c in lin.items():
+        if c % p:
+            acc += digits[u] * (c % p)
+    for prod in pos:
+        acc += prod
+    if negs:
+        acc += sum(negs) * (p - 1)
+    return acc % p == 0
 
 
-def _gf2_ad(i, mask, B, n, pidx):
-    acc = np.zeros_like(mask)
-    for l in range(1, n + 1):
-        if l == i:
-            continue
-        bit = (mask >> (l - 1)) & 1
-        acc = acc ^ (B[pidx[(min(i, l), max(i, l))]] * bit)
-    return acc
+def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
+    """Jacobi + nilpotency filter on tensor ids lo .. hi - 1; returns
+    (lie_count, nilpotent_ids) with the ids in increasing order.
 
-
-def _filter_range_gf2(n: int, lo: int, hi: int):
-    pairs = _pairs(n)
-    pidx = {pq: a for a, pq in enumerate(pairs)}
-    dim_tab, basis_tab, butterflies = _gf2_table(n)
-    vmask = np.uint64((1 << n) - 1)
-    lie = 0
-    nilp_ids: list[int] = []
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        T = np.arange(start, stop, dtype=np.uint64)
-        B = [((T >> np.uint64(n * a)) & vmask).astype(np.uint32)
-             for a in range(len(pairs))]
-        ok = np.ones(T.shape, dtype=bool)
-        for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
-            jac = (_gf2_ad(i, B[pidx[(j, k)]], B, n, pidx)
-                   ^ _gf2_ad(j, B[pidx[(i, k)]], B, n, pidx)
-                   ^ _gf2_ad(k, B[pidx[(i, j)]], B, n, pidx))
-            ok &= jac == 0
-        lie_idx = np.nonzero(ok)[0]
-        lie += len(lie_idx)
-        if len(lie_idx) == 0:
-            continue
-        Bs = [b[lie_idx] for b in B]
-        bs = _gf2_close(np.ones(len(lie_idx), dtype=np.uint32), Bs, n, butterflies)
-        dims = dim_tab[bs]
-        nilp = dims == 0
-        undecided = np.nonzero((dims > 0) & (dims < n))[0]
-        cur = bs
-        while len(undecided):
-            sub_bs = cur[undecided]
-            Bsub = [b[undecided] for b in Bs]
-            masks = []
-            for r in range(n):
-                bm = basis_tab[sub_bs, r]
-                for i in range(1, n + 1):
-                    masks.append(_gf2_ad(i, bm, Bsub, n, pidx))
-            nbs = _gf2_close(np.ones(len(undecided), dtype=np.uint32), masks,
-                             n, butterflies)
-            nd = dim_tab[nbs]
-            pd = dim_tab[sub_bs]
-            nilp[undecided[nd == 0]] = True
-            keep = (nd > 0) & (nd < pd)
-            cur[undecided] = nbs
-            undecided = undecided[keep]
-        nilp_ids.extend(int(t) for t in T[lie_idx[nilp]])
-    return lie, nilp_ids
+    Each block of ids sharing a base is checked one triple at a time, and the
+    ids that fail are dropped before the next triple. A digit of the base is
+    a Python int, so a term with a zero high digit costs nothing. Nilpotency
+    then runs once, over every Jacobi survivor of the range."""
+    ndigits = n * len(_pairs(n))
+    a = 0
+    while a < ndigits and p ** (a + 1) <= _BLOCK:
+        a += 1
+    span = p ** a
+    low = _low_digit_arrays(p, a)
+    # a Jacobiator entry stays below p + a (p-1)^2 + 3n (p-1)^3, and so do
+    # the lower central series products and eliminations
+    dtype = np.min_scalar_type(p + a * (p - 1) ** 2 + 3 * n * (p - 1) ** 3)
+    terms = _jacobi_terms(n)
+    blocks = []
+    for base in range(lo - lo % span, hi, span):
+        high, rest = [], base // span
+        for _ in range(ndigits - a):
+            rest, digit = divmod(rest, p)
+            high.append(digit)
+        start, stop = max(lo - base, 0), min(hi - base, span)
+        offs = np.arange(start, stop)
+        digits = [low[d, start:stop].astype(dtype, copy=False) for d in range(a)]
+        for per_m in terms:
+            if not len(offs):
+                break
+            ok = np.ones(len(offs), dtype=bool)
+            for m_terms in per_m:
+                ok &= _vanishes(m_terms, digits, high, p)
+            if not ok.all():
+                keep = np.flatnonzero(ok)
+                offs = offs[keep]
+                digits = [x[keep] for x in digits]
+        if len(offs):
+            blocks.append((base, high, offs))
+    lie = sum(len(offs) for _, _, offs in blocks)
+    if not lie:
+        return 0, []
+    T = np.empty((lie, ndigits), dtype=dtype)
+    row = 0
+    for _, high, offs in blocks:
+        T[row:row + len(offs), :a] = low[:, offs].T
+        T[row:row + len(offs), a:] = high
+        row += len(offs)
+    nilp = _nilpotent(T.reshape(lie, -1, n), n, p)
+    ids, row = [], 0
+    for base, _, offs in blocks:
+        ids.extend(base + int(o) for o in offs[nilp[row:row + len(offs)]])
+        row += len(offs)
+    return lie, ids
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +311,25 @@ def _rows_for_ids(n: int, field: PrimeField, ids) -> list[CensusRow]:
     return rows
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the most census workers worth starting."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _census_worker(args):
     n, p, lo, hi = args
-    field = GF(p)
-    if p == 2 and n <= 4:
-        lie, ids = _filter_range_gf2(n, lo, hi)
-    else:
-        lie, ids = _filter_range_python(n, p, lo, hi)
-    return lie, _rows_for_ids(n, field, ids)
+    lie, ids = _filter_range(n, p, lo, hi)
+    return lie, _rows_for_ids(n, GF(p), ids)
 
 
 def enumerate_algebras(n: int, field: Field, consumer=None, jobs: int = 1,
                        force: bool = False) -> CensusSummary:
     """Iterate every alternating tensor on F^n, filter by Jacobi and
     nilpotency, and report a CensusRow per nilpotent Lie algebra (in
-    tensor_id order, identical for any jobs count)."""
+    tensor_id order, identical for any jobs count). At most one worker
+    process runs per usable CPU, whatever `jobs` asks for."""
     if not isinstance(field, PrimeField) or field.p not in (2, 3):
         raise ValueError("census enumeration supports GF(2) and GF(3) only")
     if n < 1:
@@ -376,7 +340,7 @@ def enumerate_algebras(n: int, field: Field, consumer=None, jobs: int = 1,
             f"dim {n} over GF({p}) exceeds the budget guard "
             f"(max {_MAX_DIM[p]}); pass force=True to override")
     total = tensor_space_size(n, field)
-    jobs = max(1, int(jobs))
+    jobs = max(1, min(int(jobs), _usable_cpus()))
     if jobs == 1 or total < 4 * jobs:
         results = [_census_worker((n, p, 0, total))]
     else:

@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="check the lower-bound propositions on the census")
     p.add_argument("--out", help="write the census CSV here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per usable CPU")
     p.add_argument("--force", action="store_true",
                    help="override the census budget guard")
     p.set_defaults(func=cmd_enumerate)

@@ -303,9 +303,11 @@ def test_adjoint_matrix_columns_are_brackets():
 def test_check_jacobi_matches_all_triples():
     # random tables, most of them not Lie: the sparse candidate set must
     # report exactly the triples an all-triples search finds; over Q the
-    # coefficients +-1, +-2 and 1/2 exercise the exact (p = 0) reduction
+    # coefficients +-1, +-2, 1/2, 1/3 and 2/3 exercise the exact (p = 0)
+    # reduction, with integral and fractional constants in one Jacobiator
     rng = random.Random(73)
-    rational = (F(1), F(-1), F(2), F(-2), Fraction(1, 2))
+    rational = (F(1), F(-1), F(2), F(-2), Fraction(1, 2), Fraction(1, 3),
+                Fraction(2, 3))
     for field in (GF(2), GF(3), QQ):
         outcomes = set()
         for n in (3, 4, 5, 6):

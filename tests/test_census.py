@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+import schurdefect.census as census
 from schurdefect.algebra import LieAlgebra
 from schurdefect.census import (
     CSV_HEADER,
-    _filter_range_gf2,
-    _filter_range_python,
+    _BLOCK,
+    _filter_range,
     algebra_from_tensor,
     decode_tensor,
     encode_tensor,
@@ -65,33 +66,40 @@ def test_gf3_dim3_census():
     assert verify_bounds(s).passed
 
 
-def test_engines_agree_on_small_ranges():
-    # the vectorized GF(2) filter must match the digit engine exactly
-    for n in (2, 3):
-        total = tensor_space_size(n, GF(2))
-        fast = _filter_range_gf2(n, 0, total)
-        slow = _filter_range_python(n, 2, 0, total)
-        assert fast == slow
-    lo, hi = 3_000_000, 3_004_000
-    assert _filter_range_gf2(4, lo, hi) == _filter_range_python(4, 2, lo, hi)
+def exact_filter(n, p, lo, hi):
+    """(lie_count, nilpotent_ids) by the exact stack, one tensor at a time."""
+    field = GF(p)
+    lie = 0
+    nilp = []
+    for tid in range(lo, hi):
+        try:
+            L = algebra_from_tensor(tid, n, field)
+        except NotALieAlgebra:
+            continue
+        lie += 1
+        if is_nilpotent(L):
+            nilp.append(tid)
+    return lie, nilp
 
 
 def test_filters_match_real_stack():
-    # conformance against the exact stack on the complete dim-3 GF(2) space
-    field = GF(2)
-    lie, nilp = _filter_range_python(3, 2, 0, 512)
-    real_lie = 0
-    real_nilp = []
-    for tid in range(512):
-        try:
-            L = algebra_from_tensor(tid, 3, field)
-        except NotALieAlgebra:
-            continue
-        real_lie += 1
-        if is_nilpotent(L):
-            real_nilp.append(tid)
-    assert real_lie == lie
-    assert real_nilp == nilp
+    # the census filter against check_jacobi + is_nilpotent
+    cases = [(n, p, 0, tensor_space_size(n, GF(p)))
+             for p in (2, 3) for n in (1, 2, 3)]
+    # unaligned ranges
+    cases += [(3, 2, 7, 300), (3, 3, 100, 17_000)]
+    # across a block boundary: ids below it share no high digit with those
+    # above; GF(3) n = 4 is past the census budget, so only the filter sees it
+    cases += [(4, 2, 3 * _BLOCK - 2000, 3 * _BLOCK + 2000),
+              (4, 3, 3 ** 10 - 200, 3 ** 10 + 200),
+              (4, 3, 2 * 3 ** 10 - 200, 2 * 3 ** 10 + 200)]
+    # ids past 2^63: high digits are Python ints, not machine words
+    cases += [(6, 2, 2 ** 63 - 150, 2 ** 63 + 150), (6, 2, 2 ** 80, 2 ** 80 + 300)]
+    for n, p, lo, hi in cases:
+        want = exact_filter(n, p, lo, hi)
+        assert _filter_range(n, p, lo, hi) == want, (n, p, lo, hi)
+        if hi - lo > 9:
+            assert want[1], (n, p, lo, hi)  # every wide case meets nilpotent ids
 
 
 def test_parallel_serial_identical():
@@ -101,6 +109,27 @@ def test_parallel_serial_identical():
         assert serial.csv_lines() == parallel.csv_lines()
         assert serial.lie_count == parallel.lie_count
         assert serial.candidates == parallel.candidates
+
+
+def test_jobs_capped_at_usable_cpus(monkeypatch):
+    # a stub Pool records the size asked for and raises before any process
+    # starts
+    sizes = []
+
+    class StubPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+            raise RuntimeError("no process is started in this test")
+
+    monkeypatch.setattr(census, "Pool", StubPool)
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 3)
+    for jobs, want in ((100_000, 3), (3, 3), (2, 2)):
+        with pytest.raises(RuntimeError):
+            enumerate_algebras(4, GF(2), jobs=jobs)
+        assert sizes.pop() == want
+    monkeypatch.setattr(census, "_usable_cpus", lambda: 1)
+    assert enumerate_algebras(2, GF(2), jobs=100_000).nilpotent_count == 1
+    assert sizes == []
 
 
 def test_budget_guard():
