@@ -10,16 +10,17 @@ as sparse columns from the cached `pairs_touching`. `_pair_brackets` applies
 it to other vectors (`_apply`); base change, quotients, product subspaces,
 the homomorphism check and the public `bracket` and `adjoint_matrix` read
 their results from that, and `check_jacobi` reads each Jacobiator from the
-columns of ad(e_i). Vectors are {index: nonzero} dicts, 0-based; scalars are
-combined with Python's operators and reduced mod p once per entry. There is
-no numpy here.
+columns of ad(e_i). Vectors are the sparse dicts of `linalg`, and every map
+(base change, its inverse, projection, adjoint, homomorphism) is a `Matrix`
+read and built as sparse columns, so none is converted through dense
+lists. There is no numpy here.
 """
 
 from __future__ import annotations
 
 from .errors import NotALieAlgebra, NotAnIdeal
 from .fields import Field
-from .linalg import Matrix, Subspace, _dense
+from .linalg import Matrix, Subspace, _apply, _dense, _reduced, _sparse
 
 BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero
 
@@ -133,31 +134,6 @@ def bracket(L: LieAlgebra, x, y):
         raise ValueError("vector length must equal the algebra dimension")
     w = _apply(_ad(L, _sparse(x)), _sparse(y), L.field.characteristic)
     return _dense(w, L.dim, L.field.zero)
-
-
-def _sparse(x) -> dict:
-    """A dense vector as {index: nonzero}, 0-based."""
-    return {i: c for i, c in enumerate(x) if c}
-
-
-def _sparse_columns(m: Matrix) -> dict[int, dict]:
-    return {j: _sparse(m.col(j)) for j in range(m.ncols)}
-
-
-def _reduced(v: dict, p: int) -> dict:
-    """v with its entries reduced mod p (p = 0: over Q) and zeros dropped."""
-    if p:
-        return {k: r for k, x in v.items() if (r := x % p)}
-    return {k: x for k, x in v.items() if x}
-
-
-def _apply(cols: dict, u: dict, p: int) -> dict:
-    """sum_l u_l cols[l] for sparse columns {l: {k: c}}."""
-    acc: dict = {}
-    for l, ul in u.items():
-        for k, c in cols.get(l, {}).items():
-            acc[k] = acc.get(k, 0) + c * ul
-    return _reduced(acc, p)
 
 
 def _ad(L: LieAlgebra, v: dict) -> dict:
@@ -298,8 +274,8 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"
             for j in range(L.dim)}
     table = _bracket_table(L, [{c: f.one} for c in index],
                            lambda w: _apply(cols, w, f.characteristic))
-    proj = Matrix(f, [[cols[j].get(a, f.zero) for j in range(L.dim)]
-                      for a in range(len(index))], L.dim)
+    proj = Matrix._from_columns(f, len(index), L.dim,
+                                {j: col for j, col in cols.items() if col})
     name = f"{L.name}/I" if L.name else None
     Q = LieAlgebra(f, len(index), table, name)  # re-validates Jacobi
     return Q, Homomorphism(L, Q, proj)
@@ -314,9 +290,10 @@ def change_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     L.field.check_same(P.field)
     if P.nrows != L.dim or P.ncols != L.dim:
         raise ValueError("base-change matrix must be dim x dim")
-    Pinv = _sparse_columns(P.inverse())  # SingularMatrix if not invertible
+    Pinv = P.inverse().columns()  # SingularMatrix if not invertible
     p = L.field.characteristic
-    table = _bracket_table(L, list(_sparse_columns(P).values()),
+    cols = P.columns()
+    table = _bracket_table(L, [cols[j] for j in range(L.dim)],
                            lambda w: _apply(Pinv, w, p))
     return LieAlgebra._make(L.field, L.dim, table)
 
@@ -325,13 +302,7 @@ def adjoint_matrix(L: LieAlgebra, x) -> Matrix:
     """ad(x): column j holds [x, e_j]."""
     if len(x) != L.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    f = L.field
-    n = L.dim
-    data = [[f.zero] * n for _ in range(n)]
-    for j, col in _ad(L, _sparse(x)).items():
-        for k, c in col.items():
-            data[k][j] = c
-    return Matrix(f, data, n)
+    return Matrix._from_columns(L.field, L.dim, L.dim, _ad(L, _sparse(x)))
 
 
 class Homomorphism:
@@ -356,13 +327,14 @@ class Homomorphism:
         applied to the source table against the target's brackets of the
         columns of phi."""
         p = self.source.field.characteristic
-        cols = _sparse_columns(self.matrix)
+        cols = self.matrix.columns()
         images = {}
         for (i, j), cs in self.source.brackets.items():
             img = _apply(cols, {k - 1: c for k, c in cs.items()}, p)
             if img:
                 images[(i - 1, j - 1)] = img
-        return images == _pair_brackets(self.target, list(cols.values()))
+        return images == _pair_brackets(
+            self.target, [cols.get(j, {}) for j in range(self.matrix.ncols)])
 
     def check(self) -> "Homomorphism":
         if not self.is_bracket_preserving():

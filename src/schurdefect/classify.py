@@ -9,8 +9,11 @@ determined, so fingerprint equality replaces general isomorphism search on
 the domain t <= 2.
 
 Brackets of vectors come from the algebra module's sparse pair-bracket
-primitive; the stem table, the witness checks and the Gram matrix of the
-Heisenberg form all read their results from it. There is no numpy here.
+primitive; the stem table, the witness checks and the Heisenberg form all
+read their results from it. The symplectic reduction works on the sparse
+rows of a complement of the center, and each witness is a `Matrix` built
+from sparse columns, so no vector goes through a dense list. There is no
+numpy here.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .algebra import (
     LieAlgebra,
     _bracket_table,
     _pair_brackets,
-    _reduced,
     direct_sum,
     new_algebra,
 )
@@ -37,7 +39,14 @@ from .invariants import (
     report,
     t_invariant,
 )
-from .linalg import Matrix, complement, subspace_intersect, subspace_sum
+from .linalg import (
+    Matrix,
+    _reduced,
+    _sub_scaled,
+    complement,
+    subspace_intersect,
+    subspace_sum,
+)
 
 ABELIAN = "abelian"
 HEISENBERG_SUM = "heisenberg_sum"
@@ -61,21 +70,18 @@ class ClassificationResult:
     detail: str = dc_field(default="", compare=False)
 
     def label(self) -> str:
-        if self.kind == ABELIAN:
-            return f"abelian({self.n})"
-        if self.kind == HEISENBERG_SUM:
-            return f"heisenberg({self.m})+A({self.k})"
-        if self.kind == L43_SUM:
-            return f"L4_3+A({self.k})"
-        if self.kind == L55_SUM:
-            return f"L5_5+A({self.k})"
-        if self.kind == L56_SUM:
-            return f"L5_6+A({self.k})"
-        if self.kind == L57_SUM:
-            return f"L5_7+A({self.k})"
-        if self.kind == OUT_OF_SCOPE:
-            return f"out-of-scope(t={self.t})"
-        return "COUNTEREXAMPLE"
+        return _LABELS.get(self.kind, "COUNTEREXAMPLE").format_map(vars(self))
+
+
+_LABELS = {
+    ABELIAN: "abelian({n})",
+    HEISENBERG_SUM: "heisenberg({m})+A({k})",
+    L43_SUM: "L4_3+A({k})",
+    L55_SUM: "L5_5+A({k})",
+    L56_SUM: "L5_6+A({k})",
+    L57_SUM: "L5_7+A({k})",
+    OUT_OF_SCOPE: "out-of-scope(t={t})",
+}
 
 
 def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
@@ -106,9 +112,8 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     name = f"stem({L.name})" if L.name else None
     T = new_algebra(f, q, table.items(), name=name)
     k = a_part.dim
-    columns = t_space.basis + a_part.basis
-    matrix = Matrix(f, [[columns[c][r] for c in range(len(columns))]
-                        for r in range(L.dim)], len(columns))
+    columns = t_space.rows() + a_part.rows()
+    matrix = Matrix._from_columns(f, L.dim, len(columns), dict(enumerate(columns)))
     witness = Homomorphism(direct_sum(T, abelian(f, k)), L, matrix)
     return T, k, witness
 
@@ -117,72 +122,47 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     """Recover L ≅ H(m) + A(k) when dim L^2 = 1.
 
     The bracket induces an alternating form B on a complement of the center,
-    valued in the derived line; alternating Gram-Schmidt puts B in symplectic
-    normal form, giving the Heisenberg pairs. The witness is verified
-    bracket-by-bracket before being returned.
+    valued in the derived line; alternating Gram-Schmidt on the complement's
+    sparse rows puts B in symplectic normal form, giving the Heisenberg
+    pairs. B is nondegenerate off the center, so the first remaining vector
+    always has a partner. The witness is verified bracket-by-bracket before
+    being returned.
     """
     f = L.field
+    p = f.characteristic
     l2 = derived_subalgebra(L)
     if l2.dim != 1:
         raise DerivedNotLine(f"dim L^2 = {l2.dim}, expected 1")
     z = center(L)
     if not z.contains_subspace(l2):
         raise DerivedNotLine("derived line is not central (algebra is not nilpotent)")
-    w = l2.basis[0]
-    comp = complement(z, L.full_space())
-    q = comp.dim
-    vecs = comp.basis
-    sub, mul, div, neg = f.sub, f.mul, f.div, f.neg
-    gram = _gram_on_line(L, comp.rows(), l2.rows()[0], l2.pivots[0])
-    remaining = list(range(q))
-    pairs = []
+    w, wpiv = l2.rows()[0], l2.pivots[0]
+    remaining = [dict(r) for r in complement(z, L.full_space()).rows()]
+    columns = []
     while remaining:
-        pivot = None
-        for ai in range(len(remaining)):
-            for bi in range(ai + 1, len(remaining)):
-                if gram[remaining[ai]][remaining[bi]]:
-                    pivot = (remaining[ai], remaining[bi])
-                    break
-            if pivot:
-                break
-        if pivot is None:
+        a, rest = remaining[0], remaining[1:]
+        form_a = _form_on_line(L, a, rest, w, wpiv)
+        i = next((i for i, x in enumerate(form_a) if x), None)
+        if i is None:
             # B is nondegenerate off the center, so leftovers cannot happen
             raise ArithmeticError("isotropic leftover in symplectic reduction")
-        a, b = pivot
-        val = gram[a][b]
+        b, val = rest.pop(i), form_a.pop(i)
         if val != f.one:
-            vecs[b] = [div(x, val) for x in vecs[b]]
-            for c in remaining:
-                gram[c][b] = div(gram[c][b], val)
-                gram[b][c] = div(gram[b][c], val)
-        rest = [c for c in remaining if c != a and c != b]
-        alpha = {c: neg(gram[c][b]) for c in rest}
-        beta = {c: gram[c][a] for c in rest}
-        for c in rest:
-            ac, bc = alpha[c], beta[c]
-            if ac or bc:
-                va, vb = vecs[a], vecs[b]
-                vecs[c] = [f.add(x, f.add(mul(ac, ya), mul(bc, yb)))
-                           for x, ya, yb in zip(vecs[c], va, vb)]
-        for c in rest:
-            for d in rest:
-                if c != d:
-                    gram[c][d] = f.add(gram[c][d],
-                                       sub(mul(alpha[d], beta[c]),
-                                           mul(alpha[c], beta[d])))
-        pairs.append((a, b))
+            b = {k: f.div(x, val) for k, x in b.items()}
+        form_b = _form_on_line(L, b, rest, w, wpiv)
+        # c -= B(a, c) b - B(b, c) a, so that B(a, c) = B(b, c) = 0
+        for c, xa, xb in zip(rest, form_a, form_b):
+            if xa:
+                _sub_scaled(c, xa, b, p)
+            if xb:
+                _sub_scaled(c, f.neg(xb), a, p)
+        columns += [a, b]
         remaining = rest
-    m = len(pairs)
+    m = len(columns) // 2
     k = z.dim - 1
-    ab_part = complement(l2, z)
-    columns = []
-    for (a, b) in pairs:
-        columns.append(vecs[a])
-        columns.append(vecs[b])
     columns.append(w)
-    columns.extend(ab_part.basis)
-    matrix = Matrix(f, [[columns[c][r] for c in range(len(columns))]
-                        for r in range(L.dim)], len(columns))
+    columns.extend(complement(l2, z).rows())
+    matrix = Matrix._from_columns(f, L.dim, len(columns), dict(enumerate(columns)))
     source = _heisenberg_sum(f, m, k)
     witness = Homomorphism(source, L, matrix).check()
     return m, k, witness
@@ -200,21 +180,18 @@ def _heisenberg_sum(field: Field, m: int, k: int) -> LieAlgebra:
     return cached
 
 
-def _gram_on_line(L: LieAlgebra, vecs, w: dict, wpiv: int):
-    """Gram matrix of the bracket form on the sparse `vecs`, valued in the
-    line spanned by w (sparse, 1 at its pivot column wpiv); every bracket is
+def _form_on_line(L: LieAlgebra, v: dict, us, w: dict, wpiv: int) -> list:
+    """[B(v, u) for u in us]: the coefficient of each [v, u] on the line
+    spanned by w (sparse, 1 at its pivot column wpiv); every bracket is
     verified to lie on that line."""
     f = L.field
-    p = f.characteristic
-    q = len(vecs)
-    gram = [[f.zero] * q for _ in range(q)]
-    for (a, b), br in _pair_brackets(L, vecs).items():
+    form = [f.zero] * len(us)
+    for (_, b), br in _pair_brackets(L, [v], us).items():
         coeff = br.get(wpiv, f.zero)
-        if br != _reduced({k: coeff * x for k, x in w.items()}, p):
+        if br != _reduced({k: coeff * x for k, x in w.items()}, f.characteristic):
             raise ArithmeticError("bracket escaped the derived line")
-        gram[a][b] = coeff
-        gram[b][a] = f.neg(coeff)
-    return gram
+        form[b] = coeff
+    return form
 
 
 _fingerprint_cache: dict[tuple[Field, str], InvariantReport] = {}
@@ -226,6 +203,15 @@ def _reference_fingerprint(field: Field, key: str) -> InvariantReport:
         cached = report(catalog_get(key, field))
         _fingerprint_cache[(field, key)] = cached
     return cached
+
+
+# t -> the catalog stems T with L = T + A(k), as (key, kind); a stem is
+# matched by fingerprint equality, which fixes dim T, dim T^2 and, for the
+# one ambiguous pair L5_6 / L5_7, dim C_T(T^2)
+_STEMS = {
+    1: (("L4_3", L43_SUM),),
+    2: (("L5_5", L55_SUM), ("L5_6", L56_SUM), ("L5_7", L57_SUM)),
+}
 
 
 def classify_t012(L: LieAlgebra) -> ClassificationResult:
@@ -248,30 +234,18 @@ def classify_t012(L: LieAlgebra) -> ClassificationResult:
         return ClassificationResult(
             COUNTEREXAMPLE, 0, evidence=report(L),
             detail=f"t=0 with dim L^2 = {l2dim} >= 2 contradicts the t>0 bound")
-    if t == 1:
-        T, k, witness = stem_decomposition(L)
-        if T.dim == 4 and report(T) == _reference_fingerprint(L.field, "L4_3"):
-            return ClassificationResult(L43_SUM, 1, k=k, witness=witness,
-                                        evidence=report(T))
-        return ClassificationResult(
-            COUNTEREXAMPLE, 1, evidence=report(T),
-            detail=f"t=1 stem of dim {T.dim} does not match L4_3")
-    if t == 2:
+    stems = _STEMS.get(t)
+    if stems:
         T, k, witness = stem_decomposition(L)
         trep = report(T)
-        if T.dim == 5:
-            if trep.dim_derived == 2 and trep == _reference_fingerprint(L.field, "L5_5"):
-                return ClassificationResult(L55_SUM, 2, k=k, witness=witness,
+        for key, kind in stems:
+            if trep == _reference_fingerprint(L.field, key):
+                return ClassificationResult(kind, t, k=k, witness=witness,
                                             evidence=trep)
-            if trep.dim_derived == 3:
-                cdim = trep.dim_centralizer_derived
-                if cdim == 3 and trep == _reference_fingerprint(L.field, "L5_6"):
-                    return ClassificationResult(L56_SUM, 2, k=k, witness=witness,
-                                                evidence=trep)
-                if cdim == 4 and trep == _reference_fingerprint(L.field, "L5_7"):
-                    return ClassificationResult(L57_SUM, 2, k=k, witness=witness,
-                                                evidence=trep)
+        names = ", ".join(key for key, _ in stems)
+        miss = (f"does not match {names}" if len(stems) == 1
+                else f"matches none of {names}")
         return ClassificationResult(
-            COUNTEREXAMPLE, 2, evidence=trep,
-            detail=f"t=2 stem of dim {T.dim} matches none of L5_5, L5_6, L5_7")
+            COUNTEREXAMPLE, t, evidence=trep,
+            detail=f"t={t} stem of dim {T.dim} {miss}")
     return ClassificationResult(OUT_OF_SCOPE, t, evidence=report(L))

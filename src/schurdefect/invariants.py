@@ -172,6 +172,11 @@ def moneyhun_check(L: LieAlgebra) -> bool:
 
 
 def report(L: LieAlgebra) -> InvariantReport:
+    """The fingerprint of L, cached on the instance like its parts."""
+    return _cached(L, "report", _report)
+
+
+def _report(L: LieAlgebra) -> InvariantReport:
     l2 = derived_subalgebra(L)
     lcs = lower_central_series(L)
     ucs = upper_central_series(L)

@@ -1,12 +1,16 @@
 """Exact linear algebra over a field: echelon forms, kernels, subspace lattice.
 
-Every elimination runs through one sparse Gauss-Jordan kernel, `_rref_rows`,
-over rows kept as {column: nonzero scalar} dicts. It takes dense lists or
-such dicts and returns the fully reduced row-echelon form, which is
-canonical. A Subspace keeps only that form, the kernel's sparse rows: their
-equality is subspace equality (there are no tolerances anywhere), and
-reduction, containment and complements visit only nonzero entries. The
-dense `Subspace.basis` is built from them when read.
+One module owns the sparse vector format: a vector is a {index: nonzero}
+dict, 0-based, whose scalars are Fractions or residues in [0, p) combined
+with Python's operators and reduced mod p once per entry (`_reduced`,
+`_apply`, `_sub_scaled`). Every elimination runs through one sparse
+Gauss-Jordan kernel, `_rref_rows`, over such rows; it takes dense lists or
+dicts and returns the fully reduced row-echelon form, which is canonical. A
+Subspace keeps only that form, the kernel's sparse rows: their equality is
+subspace equality (there are no tolerances anywhere), and reduction,
+containment and complements visit only nonzero entries. A Matrix keeps only
+its sparse columns, so products, inverses and kernels never visit a zero.
+The dense `Subspace.basis` and `Matrix.data` are built when read.
 """
 
 from __future__ import annotations
@@ -85,6 +89,36 @@ def _dense(row: dict, n: int, zero) -> list:
     return out
 
 
+def _sparse(x) -> dict:
+    """A dense vector as {index: nonzero}, 0-based."""
+    return {i: c for i, c in enumerate(x) if c}
+
+
+def _reduced(v: dict, p: int) -> dict:
+    """v with its entries reduced mod p (p = 0: over Q) and zeros dropped."""
+    if p:
+        return {k: r for k, x in v.items() if (r := x % p)}
+    return {k: x for k, x in v.items() if x}
+
+
+def _apply(cols: dict, u: dict, p: int) -> dict:
+    """sum_l u_l cols[l] for sparse columns {l: {k: c}}."""
+    acc: dict = {}
+    for l, ul in u.items():
+        for k, c in cols.get(l, {}).items():
+            acc[k] = acc.get(k, 0) + c * ul
+    return _reduced(acc, p)
+
+
+def _transpose(vecs: dict) -> dict:
+    """{a: {b: x}} -> {b: {a: x}}: sparse rows to sparse columns and back."""
+    out: dict[int, dict] = {}
+    for a, v in vecs.items():
+        for b, x in v.items():
+            out.setdefault(b, {})[a] = x
+    return out
+
+
 def _null_vectors(field: Field, rows, pivots, n: int) -> list[dict]:
     """{x : r . x = 0 for each RREF row r}, spanned in closed form: one vector
     e_c - sum_i rows[i][c] e_{pivots[i]} per non-pivot column c."""
@@ -106,99 +140,107 @@ def null_space(field: Field, n: int, rows) -> "Subspace":
 
 
 class Matrix:
-    """Dense matrix over one field; rows are lists of scalars."""
+    """Matrix over one field, kept as sparse columns {j: {i: nonzero}}.
 
-    __slots__ = ("field", "nrows", "ncols", "data")
+    Zero columns are left out, so equal matrices have equal columns. The
+    constructor takes dense rows; `data` and `col` build dense lists when
+    read, and changing them changes nothing.
+    """
 
-    def __init__(self, field: Field, data, ncols: int | None = None):
-        self.field = field
-        self.data = [list(r) for r in data]
-        self.nrows = len(self.data)
-        if self.nrows:
-            self.ncols = len(self.data[0])
-            if any(len(r) != self.ncols for r in self.data):
+    __slots__ = ("field", "nrows", "ncols", "_cols")
+
+    def __init__(self, field: Field, rows, ncols: int | None = None):
+        rows = [list(r) for r in rows]
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged rows")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
+        elif ncols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._cols = cols = {}
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x:
+                    cols.setdefault(j, {})[i] = x
+
+    @classmethod
+    def _from_columns(cls, field, nrows, ncols, cols) -> "Matrix":
+        """Wrap sparse columns {j: {i: nonzero}} without copying; no column
+        may be empty."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m._cols = field, nrows, ncols, cols
+        return m
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._from_columns(field, nrows, ncols, {})
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls._from_columns(field, n, n, {i: {i: field.one} for i in range(n)})
+
+    def columns(self) -> dict[int, dict]:
+        """The sparse columns {j: {i: nonzero}}; not to be mutated."""
+        return self._cols
+
+    @property
+    def data(self) -> list[list]:
+        """The rows as dense lists, built on each read."""
+        z = self.field.zero
+        out = [[z] * self.ncols for _ in range(self.nrows)]
+        for j, col in self._cols.items():
+            for i, x in col.items():
+                out[i][j] = x
+        return out
 
     def col(self, j):
-        return [r[j] for r in self.data]
+        j = range(self.ncols)[j]
+        return _dense(self._cols.get(j, {}), self.nrows, self.field.zero)
 
     def matvec(self, x):
         """m @ x for a column vector x (length ncols); skips zero entries of x."""
         if len(x) != self.ncols:
             raise ValueError("vector length mismatch")
         f = self.field
-        out = [f.zero] * self.nrows
-        add, mul = f.add, f.mul
-        for j, xj in enumerate(x):
-            if xj:
-                for i in range(self.nrows):
-                    c = self.data[i][j]
-                    if c:
-                        out[i] = add(out[i], mul(c, xj))
-        return out
+        return _dense(_apply(self._cols, _sparse(x), f.characteristic),
+                      self.nrows, f.zero)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self.field.check_same(other.field)
         if self.ncols != other.nrows:
             raise ValueError("inner dimension mismatch")
-        f = self.field
-        add, mul = f.add, f.mul
-        ot = list(zip(*other.data)) if other.nrows else []
-        out = []
-        for r in self.data:
-            row = []
-            for c in range(other.ncols):
-                acc = f.zero
-                oc = ot[c]
-                for k, rk in enumerate(r):
-                    if rk:
-                        v = oc[k]
-                        if v:
-                            acc = add(acc, mul(rk, v))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out, other.ncols)
+        p = self.field.characteristic
+        cols = {j: v for j, col in other._cols.items()
+                if (v := _apply(self._cols, col, p))}
+        return Matrix._from_columns(self.field, self.nrows, other.ncols, cols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise SingularMatrix("only square matrices are invertible")
         n = self.nrows
         f = self.field
-        aug = []
-        for i, r in enumerate(self.data):
-            row = {j: x for j, x in enumerate(r) if x}
-            row[n + i] = f.one
-            aug.append(row)
-        reduced, pivots = _rref_rows(f, aug)
+        rows = _transpose(self._cols)
+        reduced, pivots = _rref_rows(
+            f, [{**rows.get(i, {}), n + i: f.one} for i in range(n)])
         if pivots[:n] != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        z = f.zero
-        return Matrix(f, [[r.get(c, z) for c in range(n, 2 * n)]
-                          for r in reduced[:n]], n)
+        cols = _transpose({i: {c - n: x for c, x in r.items() if c >= n}
+                           for i, r in enumerate(reduced)})
+        return Matrix._from_columns(f, n, n, cols)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.data == other.data)
+                and self.ncols == other.ncols and self._cols == other._cols)
 
     def __hash__(self):
         return hash((self.field, self.nrows, self.ncols,
-                     tuple(tuple(r) for r in self.data)))
+                     tuple(sorted((j, tuple(sorted(c.items())))
+                                  for j, c in self._cols.items()))))
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -206,11 +248,9 @@ class Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form (same shape, zero rows at the bottom) + pivots."""
-    rows, pivots = _rref_rows(m.field, m.data)
-    z = m.field.zero
-    dense = [_dense(r, m.ncols, z) for r in rows]
-    dense.extend([z] * m.ncols for _ in range(m.nrows - len(rows)))
-    return Matrix(m.field, dense, m.ncols), tuple(pivots)
+    rows, pivots = _rref_rows(m.field, _transpose(m.columns()).values())
+    cols = _transpose(dict(enumerate(rows)))
+    return Matrix._from_columns(m.field, m.nrows, m.ncols, cols), tuple(pivots)
 
 
 class Subspace:
@@ -297,8 +337,9 @@ class Subspace:
 
     def equations(self) -> Matrix:
         """Matrix E with kernel(E) = self; rows are `equation_rows()`."""
-        n, z = self.ambient_dim, self.field.zero
-        return Matrix(self.field, [_dense(e, n, z) for e in self.equation_rows()], n)
+        eqs = self.equation_rows()
+        return Matrix._from_columns(self.field, len(eqs), self.ambient_dim,
+                                    _transpose(dict(enumerate(eqs))))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -316,7 +357,7 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """{x : m @ x = 0}, canonical; dim = ncols - rank."""
-    return null_space(m.field, m.ncols, m.data)
+    return null_space(m.field, m.ncols, _transpose(m.columns()).values())
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

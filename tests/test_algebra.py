@@ -278,8 +278,9 @@ def test_homomorphism_check_accepts_witness_rejects_perturbed():
         good = Homomorphism(H, M, P.inverse())
         assert preserves(H, M, good.matrix)
         assert good.is_bracket_preserving()
-        bad_matrix = Matrix(field, [row[:] for row in P.inverse().data])
-        bad_matrix.data[0][0] = field.add(bad_matrix.data[0][0], field.one)
+        rows = P.inverse().data
+        rows[0][0] = field.add(rows[0][0], field.one)
+        bad_matrix = Matrix(field, rows)
         bad = Homomorphism(H, M, bad_matrix)
         assert bad.is_bracket_preserving() == preserves(H, M, bad_matrix)
         if (field, m) == (GF(3), 5):

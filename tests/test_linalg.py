@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fields_for_tests, random_invertible, random_scalar, random_vector
+from conftest import (
+    fields_for_tests,
+    random_invertible,
+    random_scalar,
+    random_vector,
+    textbook_matvec,
+)
 from schurdefect.errors import NotContained, SingularMatrix
 from schurdefect.fields import GF, QQ
 from schurdefect.linalg import (
@@ -249,3 +255,69 @@ def test_subspace_sparse_rows_are_the_whole_representation():
                 read.append([field.one] * n)
                 assert S.basis == basis
                 assert S == Subspace.from_vectors(field, n, vecs)
+
+
+def test_matrix_sparse_columns_are_the_whole_representation():
+    # a Matrix is its sparse columns: dense rows read back rebuild an equal
+    # matrix with an equal hash, changing a read changes nothing, and the
+    # products and the inverse agree with dense textbook arithmetic
+    rng = random.Random(37)
+
+    def dense_product(f, a, b, ncols):
+        out = []
+        for row in a:
+            out.append([])
+            for j in range(ncols):
+                acc = f.zero
+                for x, r in zip(row, b):
+                    acc = f.add(acc, f.mul(x, r[j]))
+                out[-1].append(acc)
+        return out
+
+    def random_dense(f, nrows, ncols):
+        z = f.zero
+        rows = [[random_scalar(f, rng) if rng.random() < 0.5 else z
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows and ncols:  # an all-zero row and an all-zero column
+            rows[rng.randrange(nrows)] = [z] * ncols
+            j = rng.randrange(ncols)
+            for r in rows:
+                r[j] = z
+        return rows
+
+    for field in fields_for_tests():
+        for nrows, ncols in ((4, 4), (3, 5), (5, 2), (1, 1), (0, 3), (3, 0)):
+            for _ in range(5):
+                rows = random_dense(field, nrows, ncols)
+                m = Matrix(field, rows, ncols)
+                assert (m.nrows, m.ncols) == (nrows, ncols)
+                assert m.data == rows
+                assert [m.col(j) for j in range(ncols)] == \
+                    [[r[j] for r in rows] for j in range(ncols)]
+                other = random_dense(field, ncols, 3)
+                prod = m @ Matrix(field, other, 3)
+                x = random_vector(field, ncols, rng)
+                for built in (m, prod, Matrix.zeros(field, nrows, ncols)):
+                    again = Matrix(field, built.data, built.ncols)
+                    assert again == built and hash(again) == hash(built)
+                    read = built.data
+                    if read and read[0]:
+                        read[0][0] = field.add(read[0][0], field.one)
+                        read.append(list(read[0]))
+                        assert built.data != read and built == again
+                        assert Matrix(field, read[:-1]) != built
+                assert m.matvec(x) == textbook_matvec(field, m, x)
+                assert prod.data == dense_product(field, rows, other, 3)
+                assert prod.ncols == 3
+        for n in (1, 4, 6):
+            P = random_invertible(field, n, rng)
+            Pinv = P.inverse()
+            assert Matrix(field, Pinv.data) == Pinv
+            ident = [[field.one if i == j else field.zero for j in range(n)]
+                     for i in range(n)]
+            assert dense_product(field, P.data, Pinv.data, n) == ident
+            assert (P @ Pinv).data == ident and P @ Pinv == Matrix.identity(field, n)
+            singular = P.data
+            singular[rng.randrange(n)] = [field.zero] * n
+            with pytest.raises(SingularMatrix):
+                Matrix(field, singular).inverse()
