@@ -5,15 +5,15 @@ Antisymmetry is a representation invariant: only pairs (i, j) with i < j are
 stored, [e_j, e_i] is derived by negation and [e_i, e_i] = 0 implicitly, so
 [x, x] = 0 holds in every characteristic including 2.
 
-Every bracket goes through one sparse primitive, `_ad`, which builds ad(v)
-as sparse columns from the cached `pairs_touching`. `_pair_brackets` applies
-it to other vectors (`_apply`); base change, quotients, product subspaces,
-the homomorphism check and the public `bracket` and `adjoint_matrix` read
-their results from that, and `check_jacobi` reads each Jacobiator from the
-columns of ad(e_i). Vectors are the sparse dicts of `linalg`, and every map
-(base change, its inverse, projection, adjoint, homomorphism) is a `Matrix`
-read and built as sparse columns, so none is converted through dense
-lists. There is no numpy here.
+The structure constants are read one way: each algebra caches ad(e_i) for
+every basis index as sparse columns {l: [e_i, e_l]} (`_ad_table`). `_ad`
+reads ad(v) from that table and `_pair_brackets` applies it to other
+vectors (`_apply`); base change, quotients, product subspaces, the
+homomorphism check, `adjoint_matrix`, `bracket` and `check_jacobi` all read
+the table. Vectors are the sparse dicts of `linalg`, and every map (base
+change, its inverse, projection, adjoint, homomorphism) is a `Matrix` read
+and built as sparse columns, so none is converted through dense lists.
+There is no numpy here.
 """
 
 from __future__ import annotations
@@ -63,18 +63,6 @@ class LieAlgebra:
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
-
-    def pairs_touching(self):
-        """index l -> [(partner, coeffs, negate?)] with [e_partner, w] taking
-        the contribution of w_l; cached (the table is immutable)."""
-        touch = self._cache.get("pairs_touching")
-        if touch is None:
-            touch = {}
-            for (i, j), cs in self.brackets.items():
-                touch.setdefault(j, []).append((i, cs, False))
-                touch.setdefault(i, []).append((j, cs, True))
-            self._cache["pairs_touching"] = touch
-        return touch
 
     def __eq__(self, other):
         """Structural equality: same field, dimension and bracket table."""
@@ -129,24 +117,53 @@ def new_algebra(field: Field, dim: int, brackets, name: str | None = None) -> Li
 
 
 def bracket(L: LieAlgebra, x, y):
-    """[x, y] for coordinate vectors x, y of length dim."""
+    """[x, y] for coordinate vectors x, y of length dim: sum x_i y_l [e_i, e_l]
+    over the table's columns, visiting only the supports of x and y."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    w = _apply(_ad(L, _sparse(x)), _sparse(y), L.field.characteristic)
-    return _dense(w, L.dim, L.field.zero)
+    ads = _ads(L)
+    y = _sparse(y)
+    acc: dict = {}
+    for i, xi in _sparse(x).items():
+        for l, col in ads[i].items():
+            if (yl := y.get(l)):
+                s = xi * yl
+                for k, c in col.items():
+                    acc[k] = acc.get(k, 0) + c * s
+    return _dense(_reduced(acc, L.field.characteristic), L.dim, L.field.zero)
+
+
+def _ad_table(n: int, brackets: BracketTable, p: int) -> list[dict]:
+    """ad(e_i) for each 0-based i < n as sparse columns {l: {k: c}}, in one
+    pass over `brackets`: [e_j, e_i] is the negation of [e_i, e_j]."""
+    ads: list[dict] = [{} for _ in range(n)]
+    for (i, j), cs in brackets.items():
+        ads[i - 1][j - 1] = {k - 1: c for k, c in cs.items()}
+        ads[j - 1][i - 1] = {k - 1: -c % p if p else -c for k, c in cs.items()}
+    return ads
+
+
+def _ads(L: LieAlgebra) -> list[dict]:
+    """The ad table of L, built once (the bracket table is immutable)."""
+    if (ads := L._cache.get("ad")) is None:
+        ads = L._cache["ad"] = _ad_table(L.dim, L.brackets, L.field.characteristic)
+    return ads
 
 
 def _ad(L: LieAlgebra, v: dict) -> dict:
-    """ad(v) as sparse columns {l: [v, e_l]}, zero columns left out."""
-    touch = L.pairs_touching()
+    """ad(v) as sparse columns {l: [v, e_l]}, zero columns left out; for a
+    basis vector, the cached columns themselves. Not to be mutated."""
+    ads = _ads(L)
+    if len(v) == 1:
+        (i, vi), = v.items()
+        if vi == 1:
+            return ads[i]
     cols: dict[int, dict] = {}
     for i, vi in v.items():
-        # [e_partner, e_{i+1}] = -cs if negate else cs
-        for partner, cs, negate in touch.get(i + 1, ()):
-            s = vi if negate else -vi
-            col = cols.setdefault(partner - 1, {})
-            for k, c in cs.items():
-                col[k - 1] = col.get(k - 1, 0) + c * s
+        for l, col in ads[i].items():
+            acc = cols.setdefault(l, {})
+            for k, c in col.items():
+                acc[k] = acc.get(k, 0) + c * vi
     p = L.field.characteristic
     return {l: r for l, col in cols.items() if (r := _reduced(col, p))}
 
@@ -187,29 +204,23 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
     A term [e_c, [e_a, e_b]] can be nonzero only when (a, b) is a stored
     pair and e_c brackets nontrivially with one of its targets, so only
     those triples are candidates, not all C(n, 3). Each term is ad(e_c)
-    applied to column b of ad(e_a), with ad(e_i) built once per index; the
-    three terms are summed and reduced mod p once. Over Q the integral
-    constants enter as ints, since Fraction arithmetic is most of the cost.
+    applied to column b of ad(e_a), both read from the ad table; the three
+    terms are summed and reduced mod p once. Over Q the table is built
+    from the integral constants as ints, since Fraction arithmetic is most
+    of the cost.
     """
     p = L.field.characteristic
-    if not p:
-        L = LieAlgebra._make(L.field, L.dim, {
-            pq: {k: c.numerator if c.denominator == 1 else c for k, c in cs.items()}
-            for pq, cs in L.brackets.items()})
-    touch = L.pairs_touching()
-    candidates = set()
-    for (a, b), cs in L.brackets.items():
-        for k in cs:
-            for c, _, _ in touch.get(k, ()):
-                if c != a and c != b:
-                    candidates.add(tuple(sorted((a, b, c))))
-    ads = {i: _ad(L, {i - 1: 1}) for i in {i for t in candidates for i in t}}
+    ads = _ads(L) if p else _ad_table(L.dim, {
+        pq: {k: c.numerator if c.denominator == 1 else c for k, c in cs.items()}
+        for pq, cs in L.brackets.items()}, 0)
+    candidates = {tuple(sorted((a, b, c + 1))) for (a, b), cs in L.brackets.items()
+                  for k in cs for c in ads[k - 1] if c + 1 not in (a, b)}
     bad = []
     for (i, j, k) in sorted(candidates):
         acc: dict = {}
         for c, a, b in ((i, j, k), (j, k, i), (k, i, j)):
-            outer = ads[c]
-            for l, x in ads[a].get(b - 1, {}).items():
+            outer = ads[c - 1]
+            for l, x in ads[a - 1].get(b - 1, {}).items():
                 for m, y in outer.get(l, {}).items():
                     acc[m] = acc.get(m, 0) + x * y
         if _reduced(acc, p):

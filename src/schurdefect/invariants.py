@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, product_subspace, quotient
+from .algebra import LieAlgebra, _ad, product_subspace, quotient
 from .errors import NotNilpotent
-from .linalg import Subspace, null_space, preimage, subspace_sum
+from .linalg import Subspace, _reduced, null_space, preimage, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ def annihilator(L: LieAlgebra, W: Subspace | None = None,
     """{x : [x, u] in W for every u in U}; W defaults to 0 and U to L.
 
     One linear condition per basis row u of U and closed-form equation phi
-    of W: sum_i x_i phi([e_i, u]) = 0. The equations are indexed by
-    coordinate and the adjoint entries come from the cached
-    `pairs_touching`, so only nonzero contributions are visited.
+    of W: sum_i x_i phi([u, e_i]) = 0, as [x, u] = -[u, x] flips every sign
+    alike. The columns of ad(u) are matched to the equations by coordinate,
+    so only nonzero entries are visited.
     """
     f = L.field
     n = L.dim
@@ -63,25 +63,19 @@ def annihilator(L: LieAlgebra, W: Subspace | None = None,
         f.check_same(s.field)
         if s.ambient_dim != n:
             raise ValueError("subspace ambient dimension must equal the algebra dimension")
-    zero, add, sub, mul = f.zero, f.add, f.sub, f.mul
     by_coord: dict[int, list] = {}  # k -> [(equation, its coefficient on e_k)]
     for e, phi in enumerate(W.equation_rows()):
         for k, a in phi.items():
-            by_coord.setdefault(k + 1, []).append((e, a))
-    touch = L.pairs_touching()
+            by_coord.setdefault(k, []).append((e, a))
     rows = []
     for u in U.rows():
         system: dict[int, dict] = {}  # equation -> {i: coefficient of x_i}
-        for j, uj in u.items():
-            # [e_i, e_{j+1}] = +-cs for each (i, cs, negate)
-            for i, cs, negate in touch.get(j + 1, ()):
-                acc = sub if negate else add
-                for k, c in cs.items():
-                    cu = mul(c, uj)
-                    for e, a in by_coord.get(k, ()):
-                        row = system.setdefault(e, {})
-                        row[i - 1] = acc(row.get(i - 1, zero), mul(a, cu))
-        rows.extend(system.values())
+        for i, col in _ad(L, u).items():
+            for k, c in col.items():
+                for e, a in by_coord.get(k, ()):
+                    row = system.setdefault(e, {})
+                    row[i] = row.get(i, 0) + a * c
+        rows.extend(_reduced(row, f.characteristic) for row in system.values())
     return null_space(f, n, rows)
 
 

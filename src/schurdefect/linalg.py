@@ -143,8 +143,9 @@ class Matrix:
     """Matrix over one field, kept as sparse columns {j: {i: nonzero}}.
 
     Zero columns are left out, so equal matrices have equal columns. The
-    constructor takes dense rows; `data` and `col` build dense lists when
-    read, and changing them changes nothing.
+    constructor takes dense rows, and reduces entries over GF(p) mod p;
+    `data` and `col` build dense lists when read, and changing them changes
+    nothing.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_cols")
@@ -152,18 +153,20 @@ class Matrix:
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [list(r) for r in rows]
         if rows:
-            ncols = len(rows[0])
+            if ncols is None:
+                ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
+                raise ValueError(f"every row must have {ncols} entries")
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
         self._cols = cols = {}
+        p = field.characteristic
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
-                if x:
+                if x and (not p or (x := x % p)):  # a multiple of p is zero
                     cols.setdefault(j, {})[i] = x
 
     @classmethod

@@ -1,6 +1,6 @@
 """Shared test helpers: seeded random scalars, vectors and base changes,
-a dense textbook bracket as an oracle, and algebra documents of a given
-bracket count."""
+dense textbook brackets, products and Gauss-Jordan as oracles, and algebra
+documents of a given bracket count."""
 
 from fractions import Fraction
 from itertools import combinations, islice
@@ -95,3 +95,24 @@ def textbook_matvec(f, m, x):
             acc = f.add(acc, f.mul(a, b))
         out.append(acc)
     return out
+
+
+def textbook_rref(field, rows, ncols):
+    """Dense Gauss-Jordan, column by column: swap the first row with a
+    nonzero entry up, scale it to a leading 1, clear the column elsewhere."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.div(field.one, m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                k = m[i][c]
+                m[i] = [field.sub(x, field.mul(k, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots

@@ -15,6 +15,7 @@ from schurdefect import catalog
 from schurdefect.algebra import (
     Homomorphism,
     LieAlgebra,
+    _ad_table,
     adjoint_matrix,
     bracket,
     change_basis,
@@ -288,17 +289,44 @@ def test_homomorphism_check_accepts_witness_rejects_perturbed():
 
 
 def test_adjoint_matrix_columns_are_brackets():
+    # a random x, and the basis vectors, whose ad is the cached table entry
     rng = random.Random(71)
-    for field in (QQ, GF(2), GF(3)):
+    for field in (QQ, GF(2), GF(3), GF(5)):
         for entry in catalog.list_all(field):
             base = catalog.get(entry.key, field, catalog.default_param(entry, field))
             for L in (base, change_basis(base, random_invertible(field, base.dim, rng))):
                 n = L.dim
-                x = random_vector(field, n, rng)
-                ad = adjoint_matrix(L, x)
-                for j in range(n):
-                    assert ad.col(j) == bracket(L, x, basis_vec(field, n, j + 1))
-                    assert ad.col(j) == textbook_bracket(L, x, basis_vec(field, n, j + 1))
+                e = [basis_vec(field, n, j) for j in range(1, n + 1)]
+                for x in [random_vector(field, n, rng)] + e:
+                    ad = adjoint_matrix(L, x)
+                    for j in range(n):
+                        assert ad.col(j) == bracket(L, x, e[j])
+                        assert ad.col(j) == textbook_bracket(L, x, e[j])
+
+
+def test_ad_table_left_unchanged_by_its_readers():
+    # _ad hands out the cached columns of ad(e_i) as they are, so no reader
+    # may change them: after every reader ran, the cache equals a fresh table
+    from schurdefect.classify import classify_t012
+    from schurdefect.invariants import annihilator, upper_central_series
+    rng = random.Random(83)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for key in ("L5_7", "L4_3", "L5_6", "H2", "F4"):
+            base = catalog.get(key, field)
+            L = change_basis(direct_sum(base, catalog.abelian(field, 1)),
+                             random_invertible(field, base.dim + 1, rng))
+            n = L.dim
+            full, z = L.full_space(), center(L)
+            classify_t012(L)
+            quotient(L, z)
+            product_subspace(L, derived_subalgebra(L), full)
+            product_subspace(L, z, Subspace.from_vectors(field, n, [random_vector(field, n, rng)]))
+            annihilator(L, upper_central_series(L)[0], derived_subalgebra(L))
+            for j in range(1, n + 1):
+                adjoint_matrix(L, basis_vec(field, n, j))
+                bracket(L, basis_vec(field, n, j), random_vector(field, n, rng))
+            assert check_jacobi(L) == []
+            assert L._cache["ad"] == _ad_table(n, L.brackets, field.characteristic)
 
 
 def test_check_jacobi_matches_all_triples():

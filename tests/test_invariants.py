@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_invertible
+from conftest import random_invertible, textbook_bracket, textbook_rref
 from schurdefect import catalog
 from schurdefect.algebra import bracket, change_basis, direct_sum, new_algebra, quotient
 from schurdefect.errors import NotNilpotent
@@ -280,6 +280,47 @@ def test_annihilator_brute_force():
                     assert annihilator(L, W, U) == got
                 assert ucs[0] == center(L)
                 assert ucs[-1] == full and len(ucs) == nilpotency_class(L)
+
+
+def test_annihilator_matches_textbook_kernel():
+    # ann(W, U) is the x-part of the kernel of [M | -B]: M stacks the
+    # textbook matrices x -> [x, u] over the basis rows u of U and B is the
+    # block-diagonal matrix with a basis of W in each block, so a kernel
+    # vector (x, y) says [x, u_j] = B_W y_j; dense Gauss-Jordan finds it
+    rng = random.Random(79)
+    for field in (QQ, GF(5)):
+        for entry in catalog.list_all(field):
+            base = catalog.get(entry.key, field, catalog.default_param(entry, field))
+            for L in (base, change_basis(base, random_invertible(field, base.dim, rng))):
+                n = L.dim
+                e = [basis_vec(n, i, field) for i in range(1, n + 1)]
+                zero, full = Subspace.zero(field, n), L.full_space()
+                l2 = derived_subalgebra(L)
+                ucs = upper_central_series(L)
+                cases = [(zero, full, center(L)), (zero, l2, centralizer(L, l2))]
+                cases += [(w, full, z) for w, z in zip(ucs, ucs[1:])]
+                ads = {id(U): [[textbook_bracket(L, x, u) for x in e] for u in U.basis]
+                       for U in (full, l2)}  # per u, the columns of x -> [x, u]
+                for W, U, got in cases:
+                    ws = W.basis
+                    width = n + U.dim * len(ws)
+                    system = []
+                    for a, ad in enumerate(ads[id(U)]):
+                        for k in range(n):
+                            row = [ad[i][k] for i in range(n)] + [field.zero] * (width - n)
+                            for b, w in enumerate(ws):
+                                row[n + a * len(ws) + b] = field.neg(w[k])
+                            system.append(row)
+                    rows, pivots = textbook_rref(field, system, width)
+                    kernel = []
+                    for c in (c for c in range(width) if c not in pivots):
+                        v = [field.zero] * width
+                        v[c] = field.one
+                        for r, pc in zip(rows, pivots):
+                            v[pc] = field.neg(r[c])
+                        kernel.append(v[:n])
+                    want, _ = textbook_rref(field, kernel, n)
+                    assert got.basis == want, (L, W, U)
 
 
 def test_filiform_upper_central_series_dims():

@@ -9,6 +9,7 @@ from conftest import (
     random_scalar,
     random_vector,
     textbook_matvec,
+    textbook_rref,
 )
 from schurdefect.errors import NotContained, SingularMatrix
 from schurdefect.fields import GF, QQ
@@ -157,27 +158,6 @@ def test_inverse():
         Matrix.zeros(QQ, 2, 2).inverse()
 
 
-def textbook_rref(field, rows, ncols):
-    """Dense Gauss-Jordan, column by column: swap the first row with a
-    nonzero entry up, scale it to a leading 1, clear the column elsewhere."""
-    m = [list(r) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.div(field.one, m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                k = m[i][c]
-                m[i] = [field.sub(x, field.mul(k, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m[:len(pivots)], pivots
-
-
 def _sparse_rref_dense(field, rows, ncols):
     reduced, pivots = _rref_rows(field, rows)
     return [[r.get(c, field.zero) for c in range(ncols)] for r in reduced], pivots
@@ -321,3 +301,41 @@ def test_matrix_sparse_columns_are_the_whole_representation():
             singular[rng.randrange(n)] = [field.zero] * n
             with pytest.raises(SingularMatrix):
                 Matrix(field, singular).inverse()
+
+
+def test_matrix_from_unreduced_entries():
+    # over GF(p) the constructor reduces entries, so equality agrees with
+    # the products: two matrices are equal exactly when they send every unit
+    # vector to the same image; over Q entries are kept as given
+    rng = random.Random(41)
+    for p in (2, 3, 5):
+        field = GF(p)
+        assert Matrix(field, [[p + 1]]) == Matrix(field, [[1]])
+        assert Matrix(field, [[p, -p]]) == Matrix.zeros(field, 1, 2)
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randint(-3 * p, 3 * p) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            m = Matrix(field, rows)
+            assert m.data == [[x % p for x in r] for r in rows]
+            units = [[field.one if i == j else field.zero for i in range(ncols)]
+                     for j in range(ncols)]
+            reduced = Matrix(field, [[x % p for x in r] for r in rows])
+            other = Matrix(field, [[rng.randrange(p) for _ in range(ncols)]
+                                   for _ in range(nrows)])
+            for b in (reduced, other):
+                assert (m == b) == all(m.matvec(u) == b.matvec(u) for u in units)
+            assert m == reduced and hash(m) == hash(reduced)
+    assert Matrix(QQ, [[Fraction(4, 2)]]).data == [[F(2)]]
+    assert Matrix(QQ, [[F(3)]]) != Matrix(QQ, [[F(0)]])
+
+
+def test_matrix_column_count_must_match_rows():
+    with pytest.raises(ValueError):
+        Matrix(GF(3), [[1, 2]], 5)
+    with pytest.raises(ValueError):
+        Matrix(GF(3), [[1, 2], [1]])
+    with pytest.raises(ValueError):
+        Matrix(QQ, [])
+    assert Matrix(GF(3), [[1, 2]], 2).ncols == 2
+    assert Matrix(GF(3), [], 4).ncols == 4
