@@ -7,12 +7,13 @@ stored, [e_j, e_i] is derived by negation and [e_i, e_i] = 0 implicitly, so
 
 The structure constants are read one way: each algebra caches ad(e_i) for
 every basis index as sparse columns {l: [e_i, e_l]} (`_ad_table`). `_ad`
-reads ad(v) from that table and `_pair_brackets` applies it to other
-vectors (`_apply`); base change, quotients, product subspaces, the
-homomorphism check, `adjoint_matrix`, `bracket` and `check_jacobi` all read
-the table. Vectors are the sparse dicts of `linalg`, and every map (base
-change, its inverse, projection, adjoint, homomorphism) is a `Matrix` read
-and built as sparse columns, so none is converted through dense lists.
+reads ad(v) from that table, and a bracket of two vectors is ad(v) applied
+to the other (`_apply`) in `bracket`, `product_subspace` and
+`_pair_brackets` (every pair a < b of one list); `check_jacobi` and the
+Heisenberg form in `classify` read the cached columns directly. Vectors are
+the sparse dicts of `linalg`, and every map (base change, its inverse,
+projection, adjoint, homomorphism) is a `Matrix` read and built as sparse
+columns, so none is converted through dense lists.
 There is no numpy here.
 """
 
@@ -117,20 +118,12 @@ def new_algebra(field: Field, dim: int, brackets, name: str | None = None) -> Li
 
 
 def bracket(L: LieAlgebra, x, y):
-    """[x, y] for coordinate vectors x, y of length dim: sum x_i y_l [e_i, e_l]
-    over the table's columns, visiting only the supports of x and y."""
+    """[x, y] for coordinate vectors x, y of length dim: ad(x) applied to y."""
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length must equal the algebra dimension")
-    ads = _ads(L)
-    y = _sparse(y)
-    acc: dict = {}
-    for i, xi in _sparse(x).items():
-        for l, col in ads[i].items():
-            if (yl := y.get(l)):
-                s = xi * yl
-                for k, c in col.items():
-                    acc[k] = acc.get(k, 0) + c * s
-    return _dense(_reduced(acc, L.field.characteristic), L.dim, L.field.zero)
+    f = L.field
+    return _dense(_apply(_ad(L, _sparse(x)), _sparse(y), f.characteristic),
+                  L.dim, f.zero)
 
 
 def _ad_table(n: int, brackets: BracketTable, p: int) -> list[dict]:
@@ -168,17 +161,16 @@ def _ad(L: LieAlgebra, v: dict) -> dict:
     return {l: r for l, col in cols.items() if (r := _reduced(col, p))}
 
 
-def _pair_brackets(L: LieAlgebra, vs, us=None) -> dict:
-    """Every nonzero [v_a, u_b] as {(a, b): {k: c}}; vectors and results are
-    sparse and 0-based. With `us` left out, the pairs a < b of `vs`."""
+def _pair_brackets(L: LieAlgebra, vs) -> dict:
+    """Every nonzero [v_a, v_b], a < b, as {(a, b): {k: c}}; vectors and
+    results are sparse and 0-based."""
     p = L.field.characteristic
     out = {}
     for a, v in enumerate(vs):
         ad = _ad(L, v)
         if not ad:
             continue
-        targets = enumerate(us) if us is not None else enumerate(vs[a + 1:], a + 1)
-        for b, u in targets:
+        for b, u in enumerate(vs[a + 1:], a + 1):
             if ad.keys().isdisjoint(u):
                 continue
             w = _apply(ad, u, p)
@@ -254,7 +246,9 @@ def product_subspace(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     elif v.is_full():
         vectors = _brackets_with_full(L, u)
     else:
-        vectors = list(_pair_brackets(L, u.rows(), v.rows()).values())
+        p = L.field.characteristic
+        vectors = [w for x in u.rows() if (ad := _ad(L, x))
+                   for y in v.rows() if (w := _apply(ad, y, p))]
     return Subspace.from_vectors(L.field, L.dim, vectors)
 
 

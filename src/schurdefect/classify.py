@@ -8,25 +8,24 @@ dimension of the centralizer of T^2 are known, the isomorphism class is
 determined, so fingerprint equality replaces general isomorphism search on
 the domain t <= 2.
 
-Brackets of vectors come from the algebra module's sparse pair-bracket
-primitive; the stem table, the witness checks and the Heisenberg form all
-read their results from it. The symplectic reduction works on the sparse
-rows of a complement of the center, and each witness is a `Matrix` built
-from sparse columns, so no vector goes through a dense list. There is no
-numpy here.
+Brackets of vectors come from the algebra module's pair-bracket primitive
+(the stem table, the witness checks); the Heisenberg form is read once off
+the cached ad table. The symplectic reduction works on the sparse rows of a
+complement of the center, and each witness is a `Matrix` built from sparse
+columns, so no vector goes through a dense list. There is no numpy here.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
     Homomorphism,
     LieAlgebra,
+    _ads,
     _bracket_table,
-    _pair_brackets,
     direct_sum,
-    new_algebra,
 )
 from .catalog import abelian, get as catalog_get, heisenberg
 from .errors import DerivedNotLine, NotNilpotent
@@ -41,8 +40,10 @@ from .invariants import (
 )
 from .linalg import (
     Matrix,
+    _apply,
     _reduced,
     _sub_scaled,
+    _transpose,
     complement,
     subspace_intersect,
     subspace_sum,
@@ -110,7 +111,7 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
 
     table = _bracket_table(L, t_space.rows(), read)
     name = f"stem({L.name})" if L.name else None
-    T = new_algebra(f, q, table.items(), name=name)
+    T = LieAlgebra(f, q, table, name)  # re-validates Jacobi
     k = a_part.dim
     columns = t_space.rows() + a_part.rows()
     matrix = Matrix._from_columns(f, L.dim, len(columns), dict(enumerate(columns)))
@@ -122,11 +123,13 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     """Recover L ≅ H(m) + A(k) when dim L^2 = 1.
 
     The bracket induces an alternating form B on a complement of the center,
-    valued in the derived line; alternating Gram-Schmidt on the complement's
-    sparse rows puts B in symplectic normal form, giving the Heisenberg
-    pairs. B is nondegenerate off the center, so the first remaining vector
-    always has a partner. The witness is verified bracket-by-bracket before
-    being returned.
+    valued in the derived line: B(e_a, e_b) is the entry of the cached column
+    [e_a, e_b] at the line's pivot, read once into a Gram table after checking
+    that every column lies on the line. Alternating Gram-Schmidt on the
+    complement's sparse rows puts B in symplectic normal form, giving the
+    Heisenberg pairs. B is nondegenerate off the center, so the first
+    remaining vector always has a partner. The witness is verified
+    bracket-by-bracket before being returned.
     """
     f = L.field
     p = f.characteristic
@@ -137,25 +140,41 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     if not z.contains_subspace(l2):
         raise DerivedNotLine("derived line is not central (algebra is not nilpotent)")
     w, wpiv = l2.rows()[0], l2.pivots[0]
+
+    def on_line(col):
+        x = col.get(wpiv, f.zero)
+        if col != _reduced({k: x * y for k, y in w.items()}, p):
+            raise ArithmeticError("bracket escaped the derived line")
+        return x
+
+    gram = {a: {b: on_line(col) for b, col in ad.items()}
+            for a, ad in enumerate(_ads(L)) if ad}
+
     remaining = [dict(r) for r in complement(z, L.full_space()).rows()]
     columns = []
     while remaining:
-        a, rest = remaining[0], remaining[1:]
-        form_a = _form_on_line(L, a, rest, w, wpiv)
-        i = next((i for i, x in enumerate(form_a) if x), None)
-        if i is None:
+        # the remaining vectors as columns: us applied to B(v, .) is {j: B(v, u_j)}
+        us = _transpose(dict(enumerate(remaining)))
+        a = remaining[0]
+        form_a = _apply(us, _apply(gram, a, p), p)
+        if not form_a:
             # B is nondegenerate off the center, so leftovers cannot happen
             raise ArithmeticError("isotropic leftover in symplectic reduction")
-        b, val = rest.pop(i), form_a.pop(i)
+        i = min(form_a)
+        b, val = remaining[i], form_a[i]
         if val != f.one:
             b = {k: f.div(x, val) for k, x in b.items()}
-        form_b = _form_on_line(L, b, rest, w, wpiv)
-        # c -= B(a, c) b - B(b, c) a, so that B(a, c) = B(b, c) = 0
-        for c, xa, xb in zip(rest, form_a, form_b):
-            if xa:
+        form_b = _apply(us, _apply(gram, b, p), p)
+        rest = []
+        for j, c in enumerate(remaining):
+            if j in (0, i):
+                continue
+            # c -= B(a, c) b - B(b, c) a, so that B(a, c) = B(b, c) = 0
+            if (xa := form_a.get(j)):
                 _sub_scaled(c, xa, b, p)
-            if xb:
+            if (xb := form_b.get(j)):
                 _sub_scaled(c, f.neg(xb), a, p)
+            rest.append(c)
         columns += [a, b]
         remaining = rest
     m = len(columns) // 2
@@ -168,41 +187,14 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     return m, k, witness
 
 
-_source_cache: dict[tuple[Field, int, int], LieAlgebra] = {}
-
-
+@functools.cache
 def _heisenberg_sum(field: Field, m: int, k: int) -> LieAlgebra:
-    key = (field, m, k)
-    cached = _source_cache.get(key)
-    if cached is None:
-        cached = _source_cache[key] = direct_sum(heisenberg(field, m),
-                                                 abelian(field, k))
-    return cached
+    return direct_sum(heisenberg(field, m), abelian(field, k))
 
 
-def _form_on_line(L: LieAlgebra, v: dict, us, w: dict, wpiv: int) -> list:
-    """[B(v, u) for u in us]: the coefficient of each [v, u] on the line
-    spanned by w (sparse, 1 at its pivot column wpiv); every bracket is
-    verified to lie on that line."""
-    f = L.field
-    form = [f.zero] * len(us)
-    for (_, b), br in _pair_brackets(L, [v], us).items():
-        coeff = br.get(wpiv, f.zero)
-        if br != _reduced({k: coeff * x for k, x in w.items()}, f.characteristic):
-            raise ArithmeticError("bracket escaped the derived line")
-        form[b] = coeff
-    return form
-
-
-_fingerprint_cache: dict[tuple[Field, str], InvariantReport] = {}
-
-
+@functools.cache
 def _reference_fingerprint(field: Field, key: str) -> InvariantReport:
-    cached = _fingerprint_cache.get((field, key))
-    if cached is None:
-        cached = report(catalog_get(key, field))
-        _fingerprint_cache[(field, key)] = cached
-    return cached
+    return report(catalog_get(key, field))
 
 
 # t -> the catalog stems T with L = T + A(k), as (key, kind); a stem is

@@ -109,14 +109,16 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
 
 def upper_central_series(L: LieAlgebra) -> list[Subspace]:
     """Z_1 = Z(L), Z_{i+1} = ann(Z_i, L) = {x : [x, L] in Z_i}, listed until
-    the first repeat (Z_0 = 0 is not listed). Same objects as the
-    quotient-preimage description."""
+    the first repeat or L itself (Z_0 = 0 is not listed). Same objects as
+    the quotient-preimage description."""
     def build(a: LieAlgebra):
         terms: list[Subspace] = []
         z = center(a)
         # Z_i is an ideal, so Z_{i+1} contains it: a repeat is an equal dim
         while z.dim > (terms[-1].dim if terms else 0):
             terms.append(z)
+            if z.is_full():
+                break
             z = annihilator(a, z)
         return terms
     return _cached(L, "ucs", build)

@@ -159,6 +159,22 @@ def test_verify_bounds_rejects_mutated_row():
     assert any(str(bad_row.tensor_id) in msg for msg in verdict.failures)
 
 
+def test_verify_bounds_failure_text():
+    s = enumerate_algebras(3, GF(2))
+    row = dataclasses.replace(s.rows[1], dim_derived=4, dim_center=1, t=-1,
+                              verdict="COUNTEREXAMPLE")
+    tid = row.tensor_id
+    verdict = verify_bounds(dataclasses.replace(s, rows=[row] + s.rows[2:]))
+    assert verdict.failures == [
+        f"tensor {tid}: t = -1 < 0",
+        f"tensor {tid}: dim L^2 = 4 >= 2 but t = -1 < 1",
+        f"tensor {tid}: dim L^2 = 4 >= 3 but t = -1 < 2",
+        f"tensor {tid}: dim L^2 = 4 >= 4 but t = -1 < 3",
+        f"tensor {tid}: Moneyhun bound violated (dim L^2 = 4, dim L/Z = 2)",
+        f"tensor {tid}: classification counterexample",
+    ]
+
+
 def test_csv_format(tmp_path):
     s = enumerate_algebras(2, GF(2))
     lines = s.csv_lines()

@@ -106,6 +106,21 @@ def test_ucs_consistency():
     assert lower_central_series(bad)[-1].dim != 0
 
 
+def test_ucs_stops_at_full_space(monkeypatch):
+    # once a term is L, ann(L, L) = L adds nothing and is not computed
+    import schurdefect.invariants as inv
+    real, full_w = inv.annihilator, []
+
+    def spy(L, W=None, U=None):
+        full_w.append(W is not None and W.is_full())
+        return real(L, W, U)
+
+    monkeypatch.setattr(inv, "annihilator", spy)
+    for key in ("A3", "H2", "L4_3", "L5_6", "L5_9", "L6_14"):
+        assert upper_central_series(catalog.get(key, QQ))[-1].is_full()
+    assert full_w and not any(full_w)
+
+
 def test_min_generators():
     assert min_generators(catalog.get("L5_9", QQ)) == 2
     for n in (1, 2, 6):

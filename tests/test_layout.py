@@ -1,6 +1,9 @@
 """Source layout rules that no behaviour test would notice."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "schurdefect"
@@ -20,3 +23,10 @@ def test_only_census_imports_numpy():
     users = {path.name for path in SRC.glob("*.py")
              if any(m == "numpy" or m.startswith("numpy.") for m in _imports(path))}
     assert users == {"census.py"}
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is most of the package's import time and only a census needs it
+    code = "import sys, schurdefect; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
