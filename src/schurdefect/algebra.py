@@ -179,12 +179,14 @@ def _pair_brackets(L: LieAlgebra, vs) -> dict:
     return out
 
 
-def _bracket_table(L: LieAlgebra, vecs, read) -> BracketTable:
+def _bracket_table(L: LieAlgebra, vecs, cols: dict) -> BracketTable:
     """Structure constants on `vecs` (sparse): each nonzero [v_a, v_b] read
-    back as coordinates {k: c} (0-based) by `read`."""
+    back as coordinates {k: c} (0-based) by `cols`, the sparse columns of
+    the map from L's coordinates to the new ones (a projection, or P^-1)."""
+    p = L.field.characteristic
     table: BracketTable = {}
     for (a, b), w in _pair_brackets(L, vecs).items():
-        cs = read(w)
+        cs = _apply(cols, w, p)
         if cs:
             table[(a + 1, b + 1)] = {k + 1: c for k, c in cs.items()}
     return table
@@ -277,8 +279,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"
     # column j of the projection: the remainder of e_j, re-indexed
     cols = {j: {index[c]: x for c, x in sorted(ideal._reduce({j: f.one})[1].items())}
             for j in range(L.dim)}
-    table = _bracket_table(L, [{c: f.one} for c in index],
-                           lambda w: _apply(cols, w, f.characteristic))
+    table = _bracket_table(L, [{c: f.one} for c in index], cols)
     proj = Matrix._from_columns(f, len(index), L.dim,
                                 {j: col for j, col in cols.items() if col})
     name = f"{L.name}/I" if L.name else None
@@ -296,10 +297,8 @@ def change_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
     if P.nrows != L.dim or P.ncols != L.dim:
         raise ValueError("base-change matrix must be dim x dim")
     Pinv = P.inverse().columns()  # SingularMatrix if not invertible
-    p = L.field.characteristic
     cols = P.columns()
-    table = _bracket_table(L, [cols[j] for j in range(L.dim)],
-                           lambda w: _apply(Pinv, w, p))
+    table = _bracket_table(L, [cols[j] for j in range(L.dim)], Pinv)
     return LieAlgebra._make(L.field, L.dim, table)
 
 

@@ -170,11 +170,11 @@ def filiform(field: Field, t: int) -> LieAlgebra:
     return new_algebra(field, t + 3, brackets, name=f"F{t}")
 
 
-def _check_constraint(key: str, constraint: str, field: Field) -> None:
-    if constraint == CHAR_NE_2 and field.characteristic == 2:
-        raise CatalogError(f"{key} is served for characteristic != 2 ({field} given)")
-    if constraint == CHAR_2 and field.characteristic != 2:
-        raise CatalogError(f"{key} requires characteristic 2 ({field} given)")
+def _serves(constraint: str, field: Field) -> bool:
+    """Whether an entry with this field constraint is defined over `field`."""
+    if constraint == ANY:
+        return True
+    return (field.characteristic == 2) == (constraint == CHAR_2)
 
 
 def default_param(entry: CatalogEntry, field: Field):
@@ -202,7 +202,10 @@ def get(key: str, field: Field, param=None) -> LieAlgebra:
     if key not in _TABLE:
         raise CatalogError(f"unknown catalog key: {key!r}")
     _, dim, constraint, param_kind, _, brackets = _TABLE[key]
-    _check_constraint(key, constraint, field)
+    if not _serves(constraint, field):
+        need = ("is served for characteristic != 2" if constraint == CHAR_NE_2
+                else "requires characteristic 2")
+        raise CatalogError(f"{key} {need} ({field} given)")
     if param_kind is None:
         if param is not None:
             raise CatalogError(f"{key} takes no parameter")
@@ -226,21 +229,12 @@ def get(key: str, field: Field, param=None) -> LieAlgebra:
 def entry(key: str) -> CatalogEntry:
     if key not in _TABLE:
         raise CatalogError(f"unknown catalog key: {key!r}")
-    k, dim, constraint, param_kind, row, _ = _TABLE[key]
-    return CatalogEntry(k, dim, constraint, param_kind, row)
+    return CatalogEntry(*_TABLE[key][:5])
 
 
 def list_all(field: Field) -> list[CatalogEntry]:
     """Tabled entries valid over `field` (dim <= 6 with dim L^2 >= 2)."""
-    out = []
-    for row in _TABLE_DATA:
-        key, dim, constraint, param_kind, expected, _ = row
-        if constraint == CHAR_NE_2 and field.characteristic == 2:
-            continue
-        if constraint == CHAR_2 and field.characteristic != 2:
-            continue
-        out.append(CatalogEntry(key, dim, constraint, param_kind, expected))
-    return out
+    return [CatalogEntry(*row[:5]) for row in _TABLE_DATA if _serves(row[2], field)]
 
 
 def is_family_key(key: str) -> bool:

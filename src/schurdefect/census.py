@@ -329,7 +329,7 @@ def _census_worker(args):
     return lie, _rows_for_ids(n, GF(p), ids)
 
 
-def enumerate_algebras(n: int, field: Field, consumer=None, jobs: int = 1,
+def enumerate_algebras(n: int, field: Field, jobs: int = 1,
                        force: bool = False) -> CensusSummary:
     """Iterate every alternating tensor on F^n, filter by Jacobi and
     nilpotency, and report a CensusRow per nilpotent Lie algebra (in
@@ -362,8 +362,6 @@ def enumerate_algebras(n: int, field: Field, consumer=None, jobs: int = 1,
     tallies: dict[int, int] = {}
     for row in rows:
         tallies[row.t] = tallies.get(row.t, 0) + 1
-        if consumer is not None:
-            consumer(row)
     return CensusSummary(n=n, p=p, candidates=total, lie_count=lie_count,
                          nilpotent_count=len(rows), t_tallies=tallies, rows=rows)
 

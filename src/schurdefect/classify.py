@@ -6,11 +6,16 @@ Identification is by invariant fingerprint against canonical constructions:
 once t, the stem dimension, dim T^2 and (for the one ambiguous pair) the
 dimension of the centralizer of T^2 are known, the isomorphism class is
 determined, so fingerprint equality replaces general isomorphism search on
-the domain t <= 2.
+the domain t <= 2. There is one fingerprint per verdict, L's own cached
+report: adding A(k) moves each of its fields by k or leaves it alone, so L
+is matched against the reference T + A(k) and the stem T is never reported
+on.
 
+The stem witness is a base change of L (the stem's basis, then the central
+complement's), so its source is T + A(k) with no separate sum to build.
 Brackets of vectors come from the algebra module's pair-bracket primitive
-(the stem table, the witness checks); the Heisenberg form is read once off
-the cached ad table. The symplectic reduction works on the sparse rows of a
+(base change, the witness checks); the Heisenberg form is read once off the
+cached ad table. The symplectic reduction works on the sparse rows of a
 complement of the center, and each witness is a `Matrix` built from sparse
 columns, so no vector goes through a dense list. There is no numpy here.
 """
@@ -24,7 +29,7 @@ from .algebra import (
     Homomorphism,
     LieAlgebra,
     _ads,
-    _bracket_table,
+    change_basis,
     direct_sum,
 )
 from .catalog import abelian, get as catalog_get, heisenberg
@@ -89,8 +94,10 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     """Split L = T + A(k) with A central and Z(T) = L^2 ∩ Z(L).
 
     A is the pivot-rule complement of L^2 ∩ Z(L) inside Z(L); T is the
-    complement of A containing L^2. Returns (T, k, witness) with the witness
-    mapping T + A(k) back onto L (columns are the chosen basis vectors).
+    complement of A containing L^2. The witness is the base change P whose
+    columns are the basis rows of T and then of A: its source, L conjugated
+    by P, is T + A(k), since A is central. Returns (T, k, witness) with T
+    read off the first dim T basis vectors of that source.
     """
     f = L.field
     full = L.full_space()
@@ -102,21 +109,14 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     extra = complement(spanned, full)
     t_space = subspace_sum(l2, extra)
     q = t_space.dim
-
-    def read(w):
-        coords = t_space.coordinates(w)
-        if coords is None:
-            raise ArithmeticError("bracket of stem vectors left the stem")
-        return {k: c for k, c in enumerate(coords) if c}
-
-    table = _bracket_table(L, t_space.rows(), read)
-    name = f"stem({L.name})" if L.name else None
-    T = LieAlgebra(f, q, table, name)  # re-validates Jacobi
-    k = a_part.dim
     columns = t_space.rows() + a_part.rows()
-    matrix = Matrix._from_columns(f, L.dim, len(columns), dict(enumerate(columns)))
-    witness = Homomorphism(direct_sum(T, abelian(f, k)), L, matrix)
-    return T, k, witness
+    P = Matrix._from_columns(f, L.dim, L.dim, dict(enumerate(columns)))
+    source = change_basis(L, P)
+    if any(k > q for cs in source.brackets.values() for k in cs):
+        raise ArithmeticError("bracket of stem vectors left the stem")
+    name = f"stem({L.name})" if L.name else None
+    T = LieAlgebra(f, q, source.brackets, name)  # re-validates Jacobi
+    return T, a_part.dim, Homomorphism(source, L, P)
 
 
 def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
@@ -193,13 +193,13 @@ def _heisenberg_sum(field: Field, m: int, k: int) -> LieAlgebra:
 
 
 @functools.cache
-def _reference_fingerprint(field: Field, key: str) -> InvariantReport:
-    return report(catalog_get(key, field))
+def _reference_fingerprint(field: Field, key: str, k: int) -> InvariantReport:
+    return report(direct_sum(catalog_get(key, field), abelian(field, k)))
 
 
 # t -> the catalog stems T with L = T + A(k), as (key, kind); a stem is
-# matched by fingerprint equality, which fixes dim T, dim T^2 and, for the
-# one ambiguous pair L5_6 / L5_7, dim C_T(T^2)
+# matched by fingerprint equality of L with T + A(k), which fixes dim T,
+# dim T^2 and, for the one ambiguous pair L5_6 / L5_7, dim C_T(T^2)
 _STEMS = {
     1: (("L4_3", L43_SUM),),
     2: (("L5_5", L55_SUM), ("L5_6", L56_SUM), ("L5_7", L57_SUM)),
@@ -229,15 +229,15 @@ def classify_t012(L: LieAlgebra) -> ClassificationResult:
     stems = _STEMS.get(t)
     if stems:
         T, k, witness = stem_decomposition(L)
-        trep = report(T)
+        rep = report(L)
         for key, kind in stems:
-            if trep == _reference_fingerprint(L.field, key):
+            if rep == _reference_fingerprint(L.field, key, k):
                 return ClassificationResult(kind, t, k=k, witness=witness,
-                                            evidence=trep)
+                                            evidence=rep)
         names = ", ".join(key for key, _ in stems)
         miss = (f"does not match {names}" if len(stems) == 1
                 else f"matches none of {names}")
         return ClassificationResult(
-            COUNTEREXAMPLE, t, evidence=trep,
+            COUNTEREXAMPLE, t, evidence=rep,
             detail=f"t={t} stem of dim {T.dim} {miss}")
     return ClassificationResult(OUT_OF_SCOPE, t, evidence=report(L))

@@ -157,13 +157,3 @@ def GF(p: int) -> PrimeField:
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
-
-
-def field_from_descriptor(desc: dict) -> Field:
-    """Inverse of Field.describe(); used by the on-disk format."""
-    kind = desc.get("kind")
-    if kind == "rational":
-        return QQ
-    if kind == "prime":
-        return GF(desc["p"])
-    raise ParseError(f"unknown field descriptor: {desc!r}")

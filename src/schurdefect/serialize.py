@@ -21,7 +21,7 @@ import json
 
 from .algebra import MAX_BRACKETS, MAX_DIM, LieAlgebra
 from .errors import DocumentError, ParseError
-from .fields import Field, field_from_descriptor
+from .fields import GF, QQ, Field
 
 _TOP_KEYS = {"name", "dim", "field", "brackets"}
 
@@ -112,11 +112,12 @@ def document_to_algebra(doc) -> LieAlgebra:
 
 
 def _parse_field(desc: dict) -> Field:
+    """The inverse of `Field.describe`."""
     kind = desc.get("kind")
     if kind == "rational":
         if set(desc) != {"kind"}:
             raise DocumentError("field: rational descriptor takes no other keys")
-        return field_from_descriptor(desc)
+        return QQ
     if kind == "prime":
         if set(desc) != {"kind", "p"}:
             raise DocumentError("field: prime descriptor needs exactly kind and p")
@@ -124,7 +125,7 @@ def _parse_field(desc: dict) -> Field:
         if not isinstance(p, int) or isinstance(p, bool):
             raise DocumentError("field.p: must be an integer")
         try:
-            return field_from_descriptor(desc)
+            return GF(p)
         except ValueError as exc:
             raise DocumentError(f"field.p: {exc}") from exc
     raise DocumentError(f"field.kind: unknown kind {kind!r}")

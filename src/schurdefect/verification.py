@@ -50,22 +50,28 @@ def table1_row(L) -> tuple[int, int, int]:
     return (rep.dim - rep.dim_center, rep.d_central_quotient, rep.dim_derived)
 
 
+def _catalog_sweep(fields):
+    """(field, entry, algebra) for every catalog entry valid over each field,
+    one algebra per swept parameter value."""
+    for field in fields:
+        for entry in catalog.list_all(field):
+            for value in param_values(entry, field):
+                yield field, entry, catalog.get(entry.key, field, value)
+
+
 def table1_failures(fields=(QQ, GF(2))) -> tuple[int, list[str]]:
     """Compare computed (dim L/Z, d(L/Z), dim L^2) with the reference triple
     of every catalog entry valid over each field, sweeping parameters.
     Returns (#checked, failures)."""
     checked = 0
     failures = []
-    for field in fields:
-        for entry in catalog.list_all(field):
-            for value in param_values(entry, field):
-                L = catalog.get(entry.key, field, value)
-                got = table1_row(L)
-                checked += 1
-                if got != entry.expected_row:
-                    failures.append(
-                        f"{L.name} over {field}: computed {got}, "
-                        f"table says {entry.expected_row}")
+    for field, entry, L in _catalog_sweep(fields):
+        got = table1_row(L)
+        checked += 1
+        if got != entry.expected_row:
+            failures.append(
+                f"{L.name} over {field}: computed {got}, "
+                f"table says {entry.expected_row}")
     return checked, failures
 
 
@@ -74,22 +80,18 @@ def classification_failures(fields=(QQ, GF(2))) -> tuple[int, list[str]]:
     t <= 2 entries, out-of-scope for the rest, never a counterexample."""
     checked = 0
     failures = []
-    for field in fields:
-        for entry in catalog.list_all(field):
-            for value in param_values(entry, field):
-                L = catalog.get(entry.key, field, value)
-                res = classify_t012(L)
-                checked += 1
-                expected = _EXPECTED_VERDICT.get(entry.key)
-                if expected is not None:
-                    kind, k = expected
-                    if res.kind != kind or res.k != k:
-                        failures.append(f"{L.name} over {field}: verdict "
-                                        f"{res.label()}, expected kind {kind} k={k}")
-                else:
-                    if res.kind != OUT_OF_SCOPE or res.t < 3:
-                        failures.append(f"{L.name} over {field}: verdict "
-                                        f"{res.label()}, expected out-of-scope with t >= 3")
+    for field, entry, L in _catalog_sweep(fields):
+        res = classify_t012(L)
+        checked += 1
+        expected = _EXPECTED_VERDICT.get(entry.key)
+        if expected is not None:
+            kind, k = expected
+            if res.kind != kind or res.k != k:
+                failures.append(f"{L.name} over {field}: verdict "
+                                f"{res.label()}, expected kind {kind} k={k}")
+        elif res.kind != OUT_OF_SCOPE or res.t < 3:
+            failures.append(f"{L.name} over {field}: verdict "
+                            f"{res.label()}, expected out-of-scope with t >= 3")
     return checked, failures
 
 

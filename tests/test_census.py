@@ -109,6 +109,8 @@ def test_parallel_serial_identical():
         assert serial.csv_lines() == parallel.csv_lines()
         assert serial.lie_count == parallel.lie_count
         assert serial.candidates == parallel.candidates
+        ids = [r.tensor_id for r in parallel.rows]
+        assert ids == sorted(ids)
 
 
 def test_jobs_capped_at_usable_cpus(monkeypatch):
@@ -183,13 +185,6 @@ def test_csv_format(tmp_path):
     out = tmp_path / "census.csv"
     s.write_csv(out)
     assert out.read_text() == "\n".join(lines) + "\n"
-
-
-def test_consumer_sees_rows_in_order():
-    seen = []
-    s = enumerate_algebras(3, GF(2), consumer=seen.append)
-    assert seen == s.rows
-    assert [r.tensor_id for r in seen] == sorted(r.tensor_id for r in seen)
 
 
 def test_decoded_algebra_matches_table():

@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "schurdefect"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "schurdefect"
 
 
 def _imports(path):
@@ -29,4 +30,24 @@ def test_import_leaves_numpy_unloaded():
     # numpy is most of the package's import time and only a census needs it
     code = "import sys, schurdefect; assert 'numpy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_traced_mode_installs():
+    # the benchmark's traced mode wraps functions by name (spans.LAYERS), and
+    # install raises once one of those names stops resolving
+    code = """if True:
+        import schurdefect, spans
+        tracer = spans.Tracer()
+        tracer.install(schurdefect)
+        from schurdefect import QQ, catalog, classify_t012, direct_sum, report
+        L = direct_sum(catalog.get("L5_6", QQ), catalog.abelian(QQ, 1))
+        assert classify_t012(L).label() == "L5_6+A(1)"
+        report(L)
+        layer = tracer.per_layer(1)
+        assert layer["classify.calls"]["value"] == 1
+        assert layer["invariants.report.calls"]["value"] >= 2
+    """
+    paths = (str(SRC.parent), str(ROOT / "schurbench"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -11,11 +11,21 @@ change."""
 import random
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 from conftest import fields_for_tests, random_invertible
+from schurdefect import catalog
 from schurdefect.algebra import LieAlgebra, change_basis, check_jacobi, quotient
-from schurdefect.classify import COUNTEREXAMPLE, classify_t012
+from schurdefect.classify import (
+    COUNTEREXAMPLE,
+    L43_SUM,
+    L55_SUM,
+    L56_SUM,
+    L57_SUM,
+    classify_t012,
+    stem_decomposition,
+)
 from schurdefect.fields import PrimeField
 from schurdefect.invariants import center, min_generators, moneyhun_check, report
 from schurdefect.serialize import dumps, loads
@@ -33,14 +43,20 @@ def _nonzero_scalars(field):
 @st.composite
 def adapted_algebras(draw):
     """A Lie algebra of dim <= 7 on an adapted basis over Q, GF(2), GF(3)
-    or GF(5), with a few nonzero structure constants."""
+    or GF(5), with a few nonzero structure constants. It may be seeded with
+    a chain [e_1, e_j] = e_{j+1}, j = 2, ..., c + 1, which reaches the
+    class-4 stems L5_6 and L5_7 that a few random constants rarely give."""
     field = draw(st.sampled_from(fields_for_tests()))
     n = draw(st.integers(1, 7))
-    slots = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             for k in range(j + 1, n + 1)]
+    chain = draw(st.integers(1, n - 2)) if n > 2 and draw(st.booleans()) else 0
+    # a chain keeps the constants on its own span e_1, ..., e_{chain+2}, so
+    # that the vectors past it span an abelian summand
+    m = chain + 2 if chain else n
+    slots = [(i, j, k) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+             for k in range(j + 1, m + 1)]
     constants = draw(st.dictionaries(st.sampled_from(slots), _nonzero_scalars(field),
                                      max_size=8)) if slots else {}
-    table = {}
+    table = {(1, j): {j + 1: field.one} for j in range(2, chain + 2)}
     for (i, j, k), c in constants.items():
         table.setdefault((i, j), {})[k] = c
     L = LieAlgebra._make(field, n, table)
@@ -69,6 +85,10 @@ def test_invariants_and_bounds(L, seed):
     assert loads(dumps(M)) == M
 
 
+# the catalog stem of each t = 1, 2 verdict
+_STEM_KEYS = {L43_SUM: "L4_3", L55_SUM: "L5_5", L56_SUM: "L5_6", L57_SUM: "L5_7"}
+
+
 @PROPERTIES
 @given(adapted_algebras(), st.integers(0, 2 ** 32 - 1))
 def test_classification(L, seed):
@@ -79,3 +99,21 @@ def test_classification(L, seed):
     assert res.label() == classify_t012(L).label()
     if res.witness is not None:
         assert res.witness.is_bracket_preserving()
+    if res.kind in _STEM_KEYS:
+        # the stem's own fingerprint, the route the verdict no longer takes
+        T, k, _ = stem_decomposition(M)
+        assert report(T) == report(catalog.get(_STEM_KEYS[res.kind], M.field))
+        assert k == res.k
+
+
+@pytest.mark.parametrize("kind", [L56_SUM, L57_SUM])
+def test_generator_reaches_the_t2_split(kind):
+    # the centralizer split of t = 2 is met on generated algebras, not only
+    # on the fixed examples, and with an abelian summand; any example will
+    # do, so the search does not shrink it
+    L = find(adapted_algebras(),
+             lambda L: (res := classify_t012(L)).kind == kind and res.k >= 1,
+             settings=settings(derandomize=True, deadline=None, max_examples=1000,
+                               database=None, phases=[Phase.generate]))
+    res = classify_t012(L)
+    assert (res.kind, res.k >= 1) == (kind, True)
