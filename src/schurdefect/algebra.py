@@ -199,14 +199,10 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
     pair and e_c brackets nontrivially with one of its targets, so only
     those triples are candidates, not all C(n, 3). Each term is ad(e_c)
     applied to column b of ad(e_a), both read from the ad table; the three
-    terms are summed and reduced mod p once. Over Q the table is built
-    from the integral constants as ints, since Fraction arithmetic is most
-    of the cost.
+    terms are summed and reduced mod p once.
     """
     p = L.field.characteristic
-    ads = _ads(L) if p else _ad_table(L.dim, {
-        pq: {k: c.numerator if c.denominator == 1 else c for k, c in cs.items()}
-        for pq, cs in L.brackets.items()}, 0)
+    ads = _ads(L)
     candidates = {tuple(sorted((a, b, c + 1))) for (a, b), cs in L.brackets.items()
                   for k in cs for c in ads[k - 1] if c + 1 not in (a, b)}
     bad = []

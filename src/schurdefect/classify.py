@@ -97,7 +97,9 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     complement of A containing L^2. The witness is the base change P whose
     columns are the basis rows of T and then of A: its source, L conjugated
     by P, is T + A(k), since A is central. Returns (T, k, witness) with T
-    read off the first dim T basis vectors of that source.
+    read off the first dim T basis vectors of that source: once no bracket
+    of them leaves their span, T is a subalgebra of a validated Lie algebra,
+    so it is Lie by construction and Jacobi is not checked again.
     """
     f = L.field
     full = L.full_space()
@@ -115,7 +117,7 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     if any(k > q for cs in source.brackets.values() for k in cs):
         raise ArithmeticError("bracket of stem vectors left the stem")
     name = f"stem({L.name})" if L.name else None
-    T = LieAlgebra(f, q, source.brackets, name)  # re-validates Jacobi
+    T = LieAlgebra._make(f, q, source.brackets, name)
     return T, a_part.dim, Homomorphism(source, L, P)
 
 

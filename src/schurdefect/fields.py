@@ -1,9 +1,18 @@
 """Exact scalar arithmetic over the rationals and prime fields GF(p).
 
-Scalars are plain values: ``fractions.Fraction`` over Q (always stored
-reduced by the stdlib) and canonical residues ``int`` in [0, p) over GF(p).
-A Field object supplies the operations; containers (matrices, algebras)
-carry the field and enforce that operands agree.
+Scalars are plain values. Over Q a scalar is an ``int`` when it is integral
+and a reduced ``fractions.Fraction`` only when its denominator is > 1
+(``canonical``), so the integral arithmetic that dominates (catalog
+constants, unimodular base changes) runs on ints and skips Fraction's
+normalisation. ``zero``, ``one``, ``coerce``, ``parse`` and ``div`` return
+canonical values; ``add``, ``sub``, ``mul`` and ``neg`` are Python's
+operators, so two Fractions may give an integral Fraction, and the linear
+algebra kernel brings each result back to canonical form where it reduces.
+An int and the equal Fraction compare and hash alike, and ``render`` is
+``str``, so the rule changes no value and no text. Over GF(p) a scalar is a
+canonical residue ``int`` in [0, p). A Field object supplies the operations;
+containers (matrices, algebras) carry the field and enforce that operands
+agree.
 """
 
 from __future__ import annotations
@@ -18,6 +27,11 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _RESIDUE_RE = re.compile(r"[0-9]+")
 
 MAX_PRIME = 2**31  # census only ever needs tiny p; keeps residues in native words
+
+
+def canonical(x):
+    """A rational x (an int or a Fraction) as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _is_prime(p: int) -> bool:
@@ -50,8 +64,8 @@ class RationalField(Field):
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
         self.add = operator.add
         self.sub = operator.sub
         self.mul = operator.mul
@@ -61,20 +75,18 @@ class RationalField(Field):
     def div(a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        return canonical(Fraction(a, b))
 
     @staticmethod
-    def coerce(x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+    def coerce(x) -> int | Fraction:
+        if isinstance(x, (int, Fraction)):  # a bool becomes the int 0 or 1
+            return canonical(x)
         raise TypeError(f"not a rational scalar: {x!r}")
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str) -> int | Fraction:
         if not _RATIONAL_RE.fullmatch(text):
             raise ParseError(f"malformed rational scalar: {text!r}")
-        return Fraction(text)
+        return canonical(Fraction(text))
 
     @staticmethod
     def render(x) -> str:

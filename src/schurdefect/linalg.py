@@ -1,16 +1,18 @@
 """Exact linear algebra over a field: echelon forms, kernels, subspace lattice.
 
 One module owns the sparse vector format: a vector is a {index: nonzero}
-dict, 0-based, whose scalars are Fractions or residues in [0, p) combined
-with Python's operators and reduced mod p once per entry (`_reduced`,
-`_apply`, `_sub_scaled`). Every elimination runs through one sparse
-Gauss-Jordan kernel, `_rref_rows`, over such rows; it takes dense lists or
-dicts and returns the fully reduced row-echelon form, which is canonical. A
-Subspace keeps only that form, the kernel's sparse rows: their equality is
-subspace equality (there are no tolerances anywhere), and reduction,
-containment and complements visit only nonzero entries. A Matrix keeps only
-its sparse columns, so products, inverses and kernels never visit a zero.
-The dense `Subspace.basis` and `Matrix.data` are built when read.
+dict, 0-based, whose scalars (see `fields`) are combined with Python's
+operators and brought back to canonical form once per entry (`_reduced`,
+`_apply`, `_sub_scaled`): reduced mod p over GF(p), and over Q made an int
+when integral, so that integral work stays on ints. Every elimination runs
+through one sparse Gauss-Jordan kernel, `_rref_rows`, over such rows; it
+takes dense lists or dicts and returns the fully reduced row-echelon form,
+which is canonical. A Subspace keeps only that form, the kernel's sparse
+rows: their equality is subspace equality (there are no tolerances
+anywhere), and reduction, containment and complements visit only nonzero
+entries. A Matrix keeps only its sparse columns, so products, inverses and
+kernels never visit a zero. The dense `Subspace.basis` and `Matrix.data`
+are built when read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from .errors import NotContained, SingularMatrix
-from .fields import Field
+from .fields import Field, canonical
 
 
 def _rref_rows(field: Field, rows):
@@ -29,16 +31,16 @@ def _rref_rows(field: Field, rows):
     canonical). While reducing, rows are kept without their pivot entry. A
     new row is reduced against the pivots it meets, smallest column first;
     the later pivot columns are cleared from the rows once, at the end, so
-    only nonzero entries are ever visited. Scalars are Fractions or
-    residues in [0, p) (see `fields`), so Python's operators act on them
-    directly and residues are reduced mod p here.
+    only nonzero entries are ever visited. Python's operators act on the
+    scalars directly, and each row read, scaled or reduced is brought back
+    to canonical form here (see `fields`): residues in [0, p) over GF(p),
+    ints for integral values over Q.
     """
     p = field.characteristic
     one = field.one
     tails: dict[int, dict] = {}  # pivot column -> the row right of its pivot
     for row in rows:
-        r = {c: x for c, x in (row.items() if isinstance(row, dict)
-                               else enumerate(row)) if x}
+        r = _reduced(row if isinstance(row, dict) else dict(enumerate(row)), p)
         todo = [c for c in r if c in tails]
         heapify(todo)
         while todo:
@@ -52,7 +54,7 @@ def _rref_rows(field: Field, rows):
         lead = r.pop(pc)
         if lead != one:
             inv = field.div(one, lead)
-            r = {k: inv * x % p if p else inv * x for k, x in r.items()}
+            r = _reduced({k: inv * x for k, x in r.items()}, p)
         tails[pc] = r
     pivots = sorted(tails)
     # last pivot first: the rows used are already zero on other pivot columns
@@ -64,22 +66,22 @@ def _rref_rows(field: Field, rows):
 
 
 def _sub_scaled(r: dict, c, src: dict, p: int, tails=(), todo=None) -> None:
-    """r -= c * src in place, dropping zeros (p is 0 over Q); each pivot
-    column of `tails` that r gains goes on the heap `todo`."""
+    """r -= c * src in place, in canonical form and dropping zeros (p is 0
+    over Q); each pivot column of `tails` that r gains goes on the heap
+    `todo`."""
     for k, y in src.items():
         x = r.get(k)
-        if x is None:
-            r[k] = -c * y % p if p else -c * y
-            if k in tails:
+        v = -c * y if x is None else x - c * y
+        if p:
+            v %= p
+        elif type(v) is not int and v.denominator == 1:  # canonical(v), inlined
+            v = v.numerator
+        if v:
+            r[k] = v
+            if x is None and k in tails:
                 heappush(todo, k)
-        else:
-            v = x - c * y
-            if p:
-                v %= p
-            if v:
-                r[k] = v
-            else:
-                del r[k]
+        elif x is not None:
+            del r[k]
 
 
 def _dense(row: dict, n: int, zero) -> list:
@@ -95,10 +97,11 @@ def _sparse(x) -> dict:
 
 
 def _reduced(v: dict, p: int) -> dict:
-    """v with its entries reduced mod p (p = 0: over Q) and zeros dropped."""
+    """v with its entries in canonical form and zeros dropped: reduced mod
+    p, or over Q (p = 0) integral ones made ints."""
     if p:
         return {k: r for k, x in v.items() if (r := x % p)}
-    return {k: x for k, x in v.items() if x}
+    return {k: x if type(x) is int else canonical(x) for k, x in v.items() if x}
 
 
 def _apply(cols: dict, u: dict, p: int) -> dict:
@@ -143,7 +146,8 @@ class Matrix:
     """Matrix over one field, kept as sparse columns {j: {i: nonzero}}.
 
     Zero columns are left out, so equal matrices have equal columns. The
-    constructor takes dense rows, and reduces entries over GF(p) mod p;
+    constructor takes dense rows, reduces entries over GF(p) mod p and
+    coerces them into canonical form over Q (see `fields`);
     `data` and `col` build dense lists when read, and changing them changes
     nothing.
     """
@@ -166,7 +170,8 @@ class Matrix:
         p = field.characteristic
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
-                if x and (not p or (x := x % p)):  # a multiple of p is zero
+                # a multiple of p is zero
+                if x and (x := x % p if p else field.coerce(x)):
                     cols.setdefault(j, {})[i] = x
 
     @classmethod
@@ -306,16 +311,17 @@ class Subspace:
 
     def _reduce(self, vector):
         """(coordinates, remainder) of `vector`, a dense list or a sparse
-        {col: x} dict, against the RREF rows. The rows vanish on each
-        other's pivots, so coordinate i is the entry at pivot i; the
-        remainder is a sparse dict on the non-pivot columns."""
+        {col: x} dict, against the RREF rows; the vector is read in
+        canonical form. The rows vanish on each other's pivots, so
+        coordinate i is the entry at pivot i; the remainder is a sparse dict
+        on the non-pivot columns."""
         if not isinstance(vector, dict):
             if len(vector) != self.ambient_dim:
                 raise ValueError("ambient dimension mismatch")
             vector = dict(enumerate(vector))
         zero, p = self.field.zero, self.field.characteristic
-        coords = [vector.get(pc, zero) for pc in self.pivots]
-        rest = {c: x for c, x in vector.items() if x}
+        rest = _reduced(vector, p)
+        coords = [rest.get(pc, zero) for pc in self.pivots]
         for c, row in zip(coords, self._rows):
             if c:
                 _sub_scaled(rest, c, row, p)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import catalog
 from .algebra import direct_sum
 from .classify import (
@@ -35,11 +33,8 @@ def param_values(entry: catalog.CatalogEntry, field: Field):
     """Parameter sweep for an entry: defaults plus the admissible spot values."""
     if entry.param_kind is None:
         return [None]
-    if field.characteristic == 0:
-        candidates = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]
-    else:
-        candidates = sorted({x % field.characteristic
-                             for x in (0, 1, 2, -1)})
+    # over GF(p) the values are reduced mod p, and repeats dropped
+    candidates = list(dict.fromkeys(field.coerce(x) for x in (0, 1, 2, -1)))
     if entry.param_kind == catalog.P_UNIT:
         candidates = [c for c in candidates if c]
     return candidates

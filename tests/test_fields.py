@@ -77,6 +77,8 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         QQ.div(Fraction(1), Fraction(0))
     with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
         GF(5).div(3, 0)
 
 
@@ -101,3 +103,17 @@ def test_prime_validation():
 def test_descriptors():
     assert QQ.describe() == {"kind": "rational"}
     assert GF(7).describe() == {"kind": "prime", "p": 7}
+
+
+def test_integral_rationals_are_ints():
+    for x in (QQ.zero, QQ.one, QQ.coerce(Fraction(4, 2)), QQ.parse("-3"),
+              QQ.parse("4/2"), QQ.div(4, 2), QQ.div(Fraction(1, 2), Fraction(1, 4))):
+        assert type(x) is int
+    assert QQ.div(4, 2) == 2
+    assert QQ.div(1, 2) == Fraction(1, 2)
+    assert type(QQ.div(1, 2)) is Fraction
+    assert type(QQ.parse("-3/6")) is Fraction
+    one = QQ.coerce(True)  # the int 1, not a bool
+    assert one == 1 and type(one) is int
+    with pytest.raises(TypeError):
+        QQ.coerce(0.5)

@@ -6,7 +6,9 @@ their properties, which a different but valid choice would also pass. This
 test hashes a canonical rendering of all of them over a fixed corpus (every
 catalog entry and H(m) + A(k), over Q, GF(2), GF(3) and GF(5), each under a
 seeded base change), so that a change of representation that alters any
-entry, its order or its type fails here.
+entry, its order or its type fails here. Scalars render by `repr`: an
+integral rational is an int and renders as one (`3`, never `Fraction(3, 1)`),
+and only a true fraction renders as `Fraction(n, d)`.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from schurdefect.algebra import adjoint_matrix, change_basis, direct_sum, quotie
 from schurdefect.classify import classify_t012
 from schurdefect.invariants import center
 
-GOLDEN_SHA256 = "44ff910467349938ac4cee12a8bb9450d5e4d5a0dfe722d346facc98e8cd75ed"
+GOLDEN_SHA256 = "35e27559291a22d5a0a5b2cda6d113a98be3559a10f9e9fab0774d98fd5a675f"
 
 
 def _table(L):

@@ -306,7 +306,7 @@ def test_matrix_sparse_columns_are_the_whole_representation():
 def test_matrix_from_unreduced_entries():
     # over GF(p) the constructor reduces entries, so equality agrees with
     # the products: two matrices are equal exactly when they send every unit
-    # vector to the same image; over Q entries are kept as given
+    # vector to the same image; over Q an integral entry becomes an int
     rng = random.Random(41)
     for p in (2, 3, 5):
         field = GF(p)
@@ -327,7 +327,18 @@ def test_matrix_from_unreduced_entries():
                 assert (m == b) == all(m.matvec(u) == b.matvec(u) for u in units)
             assert m == reduced and hash(m) == hash(reduced)
     assert Matrix(QQ, [[Fraction(4, 2)]]).data == [[F(2)]]
+    assert type(Matrix(QQ, [[Fraction(4, 2)]]).data[0][0]) is int
     assert Matrix(QQ, [[F(3)]]) != Matrix(QQ, [[F(0)]])
+
+
+def test_subspace_reads_unreduced_vectors():
+    # a vector is read in canonical form: a multiple of p is zero over
+    # GF(p), and an integral rational is an int
+    S = Subspace.from_vectors(GF(3), 2, [[0, 1]])
+    assert S.contains([3, 0]) and S.contains({0: -3})
+    assert S.coordinates([6, 4]) == [1]
+    coords = Subspace.from_vectors(QQ, 2, [[1, 0]]).coordinates([Fraction(4, 2), 0])
+    assert coords == [2] and type(coords[0]) is int
 
 
 def test_matrix_column_count_must_match_rows():

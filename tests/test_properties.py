@@ -6,7 +6,9 @@ nonzero constants on such a basis, so that Jacobi holds often, keeps the
 tensors for which it holds, and moves them by a random base change. The
 paper's statements are checked on them: the lower bounds, the Moneyhun
 bound, the t = 0/1/2 classification and the invariance of t under base
-change."""
+change. Over Q the generated constants are Fractions, integral ones among
+them, and every scalar the exact stack returns is checked to be canonical:
+an int when integral, a Fraction only when it is not."""
 
 import random
 from fractions import Fraction
@@ -26,8 +28,9 @@ from schurdefect.classify import (
     classify_t012,
     stem_decomposition,
 )
-from schurdefect.fields import PrimeField
+from schurdefect.fields import QQ, PrimeField
 from schurdefect.invariants import center, min_generators, moneyhun_check, report
+from schurdefect.linalg import Matrix, kernel, rref
 from schurdefect.serialize import dumps, loads
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=100)
@@ -41,12 +44,13 @@ def _nonzero_scalars(field):
 
 
 @st.composite
-def adapted_algebras(draw):
-    """A Lie algebra of dim <= 7 on an adapted basis over Q, GF(2), GF(3)
-    or GF(5), with a few nonzero structure constants. It may be seeded with
-    a chain [e_1, e_j] = e_{j+1}, j = 2, ..., c + 1, which reaches the
-    class-4 stems L5_6 and L5_7 that a few random constants rarely give."""
-    field = draw(st.sampled_from(fields_for_tests()))
+def adapted_algebras(draw, fields=None):
+    """A Lie algebra of dim <= 7 on an adapted basis over one of `fields`
+    (default Q, GF(2), GF(3) or GF(5)), with a few nonzero structure
+    constants. It may be seeded with a chain [e_1, e_j] = e_{j+1}, j = 2,
+    ..., c + 1, which reaches the class-4 stems L5_6 and L5_7 that a few
+    random constants rarely give."""
+    field = draw(st.sampled_from(fields or fields_for_tests()))
     n = draw(st.integers(1, 7))
     chain = draw(st.integers(1, n - 2)) if n > 2 and draw(st.booleans()) else 0
     # a chain keeps the constants on its own span e_1, ..., e_{chain+2}, so
@@ -104,6 +108,8 @@ def test_classification(L, seed):
         T, k, _ = stem_decomposition(M)
         assert report(T) == report(catalog.get(_STEM_KEYS[res.kind], M.field))
         assert k == res.k
+        # the stem is Lie by construction, so only this oracle checks Jacobi
+        assert check_jacobi(T) == []
 
 
 @pytest.mark.parametrize("kind", [L56_SUM, L57_SUM])
@@ -117,3 +123,39 @@ def test_generator_reaches_the_t2_split(kind):
                                database=None, phases=[Phase.generate]))
     res = classify_t012(L)
     assert (res.kind, res.k >= 1) == (kind, True)
+
+
+def _entries(vectors):
+    """The scalars of sparse vectors {k: x}, given as a dict or a list of them."""
+    vectors = vectors.values() if isinstance(vectors, dict) else vectors
+    return [x for v in vectors for x in v.values()]
+
+
+def _canonical_rational(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+
+@PROPERTIES
+@given(adapted_algebras(fields=[QQ]), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.lists(_FRACTIONS, min_size=4, max_size=4), min_size=1,
+                max_size=5))
+def test_rational_scalars_are_canonical(L, seed, rows):
+    # every input is Fraction-typed: L's constants, the base change's entries
+    # and the rows of A, integral values among them
+    P = random_invertible(QQ, L.dim, random.Random(seed))
+    P = Matrix(QQ, [[Fraction(x) for x in r] for r in P.data])
+    M = change_basis(L, P)
+    Q, proj = quotient(M, center(M))
+    A = Matrix(QQ, rows)
+    outputs = [P.columns(), P.inverse().columns(), M.brackets, center(M).rows(),
+               center(L).rows(), Q.brackets, proj.matrix.columns(),
+               rref(A)[0].columns(), kernel(A).rows()]
+    for N in (L, M):
+        witness = classify_t012(N).witness
+        if witness is not None:
+            outputs += [witness.matrix.columns(), witness.source.brackets]
+    bad = [x for out in outputs for x in _entries(out) if not _canonical_rational(x)]
+    assert not bad
