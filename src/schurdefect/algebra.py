@@ -51,6 +51,7 @@ class LieAlgebra:
         self.name = name
         self._cache: dict = {}
         if not _validated:
+            _check_table(dim, brackets, field.characteristic)
             bad = check_jacobi(self)
             if bad:
                 raise NotALieAlgebra(
@@ -80,6 +81,21 @@ class LieAlgebra:
     def __repr__(self):
         label = self.name or "LieAlgebra"
         return f"{label}(dim {self.dim} over {self.field})"
+
+
+def _check_table(dim: int, brackets: BracketTable, p: int) -> None:
+    """ValueError naming the first pair unless 1 <= i < j <= dim, every
+    target k is in 1..dim and every rhs is non-empty with nonzero scalars."""
+    for (i, j), cs in brackets.items():
+        if not 1 <= i < j <= dim:
+            raise ValueError(f"bracket pair ({i}, {j}): need 1 <= i < j <= {dim}")
+        if not cs:
+            raise ValueError(f"bracket pair ({i}, {j}): empty rhs")
+        for k, c in cs.items():
+            if not 1 <= k <= dim:
+                raise ValueError(f"bracket pair ({i}, {j}): target {k} not in 1..{dim}")
+            if not (c % p if p else c):
+                raise ValueError(f"bracket pair ({i}, {j}): zero scalar at {k}")
 
 
 def new_algebra(field: Field, dim: int, brackets, name: str | None = None) -> LieAlgebra:
@@ -128,11 +144,12 @@ def bracket(L: LieAlgebra, x, y):
 
 def _ad_table(n: int, brackets: BracketTable, p: int) -> list[dict]:
     """ad(e_i) for each 0-based i < n as sparse columns {l: {k: c}}, in one
-    pass over `brackets`: [e_j, e_i] is the negation of [e_i, e_j]."""
+    pass over `brackets`: [e_j, e_i] is the negation of [e_i, e_j]. Both
+    halves are in canonical form, whatever scalar types the table holds."""
     ads: list[dict] = [{} for _ in range(n)]
     for (i, j), cs in brackets.items():
-        ads[i - 1][j - 1] = {k - 1: c for k, c in cs.items()}
-        ads[j - 1][i - 1] = {k - 1: -c % p if p else -c for k, c in cs.items()}
+        ads[i - 1][j - 1] = _reduced({k - 1: c for k, c in cs.items()}, p)
+        ads[j - 1][i - 1] = _reduced({k - 1: -c for k, c in cs.items()}, p)
     return ads
 
 

@@ -6,18 +6,17 @@ operators and brought back to canonical form once per entry (`_reduced`,
 `_apply`, `_sub_scaled`): reduced mod p over GF(p), and over Q made an int
 when integral, so that integral work stays on ints. Every elimination runs
 through one sparse Gauss-Jordan kernel, `_rref_rows`, over such rows; it
-takes dense lists or dicts and returns the fully reduced row-echelon form,
-which is canonical. A Subspace keeps only that form, the kernel's sparse
-rows: their equality is subspace equality (there are no tolerances
-anywhere), and reduction, containment and complements visit only nonzero
-entries. A Matrix keeps only its sparse columns, so products, inverses and
-kernels never visit a zero. The dense `Subspace.basis` and `Matrix.data`
-are built when read.
+takes dense lists or dicts, keeps its rows fully reduced after every input
+row, so one pass reduces each new row, and returns the fully reduced
+row-echelon form, which is canonical. A Subspace keeps only that form, the
+kernel's sparse rows: their equality is subspace equality (there are no
+tolerances anywhere), and reduction, containment and complements visit only
+nonzero entries. A Matrix keeps only its sparse columns, so products,
+inverses and kernels never visit a zero. The dense `Subspace.basis` and
+`Matrix.data` are built when read.
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 from .errors import NotContained, SingularMatrix
 from .fields import Field, canonical
@@ -28,47 +27,44 @@ def _rref_rows(field: Field, rows):
 
     Returns (sparse_rows, pivot_cols) sorted by pivot. Zero rows are dropped;
     pivot entries are 1 and pivot columns are zero elsewhere (fully reduced,
-    canonical). While reducing, rows are kept without their pivot entry. A
-    new row is reduced against the pivots it meets, smallest column first;
-    the later pivot columns are cleared from the rows once, at the end, so
-    only nonzero entries are ever visited. Python's operators act on the
-    scalars directly, and each row read, scaled or reduced is brought back
-    to canonical form here (see `fields`): residues in [0, p) over GF(p),
-    ints for integral values over Q.
+    canonical). Rows are kept as tails, a pivot's row without its pivot
+    entry, and after every input row the tails hold no pivot column. A new
+    row is therefore reduced in one pass over the pivot columns it holds, and
+    scaled to a leading 1 (a -1 lead is negated, not divided by); its pivot
+    column is then cleared from the tails that hold it, a scan skipped when
+    no tail has ever held that column. Only nonzero entries are visited.
+    Python's operators act on the scalars directly, and each row read,
+    scaled or reduced is brought back to canonical form here (see `fields`):
+    residues in [0, p) over GF(p), ints for integral values over Q.
     """
     p = field.characteristic
     one = field.one
     tails: dict[int, dict] = {}  # pivot column -> the row right of its pivot
+    seen: set = set()  # every column any tail has held
     for row in rows:
         r = _reduced(row if isinstance(row, dict) else dict(enumerate(row)), p)
-        todo = [c for c in r if c in tails]
-        heapify(todo)
-        while todo:
-            pc = heappop(todo)
-            c = r.pop(pc, None)
-            if c is not None:  # None: cancelled earlier, or a repeat
-                _sub_scaled(r, c, tails[pc], p, tails, todo)
+        for pc in [c for c in r if c in tails]:
+            _sub_scaled(r, r.pop(pc), tails[pc], p)
         if not r:
             continue
         pc = min(r)
         lead = r.pop(pc)
         if lead != one:
-            inv = field.div(one, lead)
+            inv = -1 if lead == -1 else field.div(one, lead)
             r = _reduced({k: inv * x for k, x in r.items()}, p)
+        if pc in seen:
+            for tail in tails.values():
+                if (c := tail.pop(pc, None)) is not None:
+                    _sub_scaled(tail, c, r, p)
         tails[pc] = r
+        seen.update(r)
     pivots = sorted(tails)
-    # last pivot first: the rows used are already zero on other pivot columns
-    for pc in reversed(pivots):
-        tail = tails[pc]
-        for h in [c for c in tail if c in tails]:
-            _sub_scaled(tail, tail.pop(h), tails[h], p)
     return [{pc: one, **tails[pc]} for pc in pivots], pivots
 
 
-def _sub_scaled(r: dict, c, src: dict, p: int, tails=(), todo=None) -> None:
+def _sub_scaled(r: dict, c, src: dict, p: int) -> None:
     """r -= c * src in place, in canonical form and dropping zeros (p is 0
-    over Q); each pivot column of `tails` that r gains goes on the heap
-    `todo`."""
+    over Q)."""
     for k, y in src.items():
         x = r.get(k)
         v = -c * y if x is None else x - c * y
@@ -78,8 +74,6 @@ def _sub_scaled(r: dict, c, src: dict, p: int, tails=(), todo=None) -> None:
             v = v.numerator
         if v:
             r[k] = v
-            if x is None and k in tails:
-                heappush(todo, k)
         elif x is not None:
             del r[k]
 

@@ -5,8 +5,9 @@
      "brackets": [{"lhs": [i, j], "rhs": {"k": scalar-string, ...}}, ...]}
 
 Indices are 1-based with i < j required; rhs keys are decimal basis indices;
-scalar strings follow the exact-field grammar and must be canonical (the
-format is bit-exact: parsing then rendering reproduces the input scalar).
+no JSON object repeats a key; scalar strings follow the exact-field grammar
+and must be canonical (the format is bit-exact: parsing then rendering
+reproduces the input scalar).
 "dim" may not exceed `MAX_DIM` (512); a larger one is rejected before any
 bracket is parsed. The document holds at most `MAX_BRACKETS` (4096) nonzero
 structure constants, the rhs entries of all brackets together. A list of more
@@ -94,8 +95,6 @@ def document_to_algebra(doc) -> LieAlgebra:
             k = int(key)
             if not (1 <= k <= dim):
                 raise DocumentError(f"{where}.rhs: basis index {k} out of range")
-            if k in cs:
-                raise DocumentError(f"{where}.rhs: duplicate basis index {k}")
             if not isinstance(text, str):
                 raise DocumentError(f"{where}.rhs[{key}]: scalar must be a string")
             try:
@@ -136,9 +135,20 @@ def dumps(L: LieAlgebra) -> str:
     return json.dumps(algebra_to_document(L), indent=2) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json keeps the last of
+    repeated keys, which would pass a document other than the one given."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DocumentError(f"duplicate JSON key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def loads(text: str) -> LieAlgebra:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return document_to_algebra(doc)

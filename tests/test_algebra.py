@@ -84,6 +84,28 @@ def test_new_algebra_input_errors():
         new_algebra(QQ, 3, [((2, 2), {3: 1})])  # [x,x] must vanish
 
 
+def test_checking_constructor_rejects_malformed_tables():
+    # indices at the boundaries 0, dim and dim + 1; every error names its
+    # pair and comes before Jacobi runs, so it is no NotALieAlgebra
+    bad = [
+        (QQ, {(0, 2): {3: 1}}, "(0, 2)"),
+        (QQ, {(1, 4): {3: 1}}, "(1, 4)"),
+        (QQ, {(2, 1): {3: 1}}, "(2, 1)"),
+        (QQ, {(2, 2): {3: 1}}, "(2, 2)"),
+        (QQ, {(1, 2): {0: 1}}, "(1, 2)"),
+        (QQ, {(1, 2): {4: 1}}, "(1, 2)"),
+        (QQ, {(1, 2): {3: 0}}, "(1, 2)"),
+        (QQ, {(1, 2): {}}, "(1, 2)"),
+        (GF(3), {(1, 2): {3: 3}}, "(1, 2)"),
+    ]
+    for field, table, pair in bad:
+        with pytest.raises(ValueError) as err:
+            LieAlgebra(field, 3, table)
+        assert type(err.value) is ValueError and pair in str(err.value), table
+    assert LieAlgebra(QQ, 3, {(1, 3): {3: 1}}).brackets == {(1, 3): {3: 1}}
+    assert LieAlgebra(QQ, 3, {(1, 2): {3: 1}}) == catalog.heisenberg(QQ, 1)
+
+
 def test_bracket_examples():
     L = catalog.get("L4_3", QQ)
     assert bracket(L, basis_vec(QQ, 4, 1), basis_vec(QQ, 4, 2)) == basis_vec(QQ, 4, 3)

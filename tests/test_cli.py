@@ -154,6 +154,14 @@ def test_file_with_bad_content(capsys, tmp_path):
     assert "brackets[0].lhs" in err
 
 
+def test_file_with_duplicate_key(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text('{"dim": 3, "dim": 4, "field": {"kind": "rational"}, '
+                    '"brackets": [{"lhs": [1, 2], "rhs": {"3": "1"}}]}')
+    code, out, err = run(capsys, "invariants", "--file", str(path))
+    assert code == 2 and out == "" and "'dim'" in err
+
+
 def test_dim_limit(capsys, tmp_path, monkeypatch):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"dim": MAX_DIM + 1, "field": {"kind": "rational"},

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     fields_for_tests,
@@ -180,6 +181,50 @@ def test_sparse_rref_matches_textbook_gauss_jordan():
                 assert _sparse_rref_dense(field, as_dicts, ncols) == want
         assert _rref_rows(field, [[z] * 6 for _ in range(4)]) == ([], [])
         assert _rref_rows(field, [{}, {}]) == ([], [])
+
+
+@st.composite
+def _sparse_rows(draw):
+    """(field, ncols, rows): a few sparse {col: nonzero} rows, the rational
+    scalars Fraction-typed and -1 among them."""
+    field = draw(st.sampled_from(fields_for_tests()))
+    ncols = draw(st.integers(1, 8))
+    if field.characteristic:
+        scalars = st.integers(1, field.characteristic - 1)
+    else:
+        scalars = st.builds(Fraction, st.sampled_from((-2, -1, 1, 3)),
+                            st.sampled_from((1, 1, 2)))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), scalars,
+                                         max_size=4), max_size=10))
+    return field, ncols, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_sparse_rows(), st.randoms(use_true_random=False))
+def test_rref_rows_in_any_order_match_textbook(case, rnd):
+    field, ncols, rows = case
+    dense = [[r.get(c, field.zero) for c in range(ncols)] for r in rows]
+    want = textbook_rref(field, dense, ncols)
+    for _ in range(2):
+        order = rows[:]
+        rnd.shuffle(order)
+        assert _sparse_rref_dense(field, order, ncols) == want
+
+
+def test_rref_rows_clears_a_new_pivot_from_earlier_rows():
+    # the second row's pivot, column 1, sits in the first row; its lead -1
+    # is negated, and the rows stay on ints
+    rows, pivots = _rref_rows(QQ, [[1, 2, 0], [0, -1, 3]])
+    assert (rows, pivots) == ([{0: 1, 2: 6}, {1: 1, 2: -3}], [0, 1])
+    assert all(type(x) is int for r in rows for x in r.values())
+    # the same over GF(3), where the lead is the residue 2
+    assert _rref_rows(GF(3), [[1, 2, 0], [0, 2, 1]]) == ([{0: 1, 2: 2}, {1: 1, 2: 2}], [0, 1])
+
+
+def test_rref_rows_new_pivot_in_no_earlier_row():
+    # no kept row has ever held column 2 or column 0, so nothing is cleared
+    rows, pivots = _rref_rows(QQ, [[0, 1, 0, 5], [0, 0, -2, 1], [F(3), 0, 0, 0]])
+    assert (rows, pivots) == ([{0: 1}, {1: 1, 3: 5}, {2: 1, 3: Fraction(-1, 2)}], [0, 1, 2])
 
 
 def test_equations_roundtrip():

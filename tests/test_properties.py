@@ -18,7 +18,13 @@ from hypothesis import Phase, assume, find, given, settings, strategies as st
 
 from conftest import fields_for_tests, random_invertible
 from schurdefect import catalog
-from schurdefect.algebra import LieAlgebra, change_basis, check_jacobi, quotient
+from schurdefect.algebra import (
+    LieAlgebra,
+    adjoint_matrix,
+    change_basis,
+    check_jacobi,
+    quotient,
+)
 from schurdefect.classify import (
     COUNTEREXAMPLE,
     L43_SUM,
@@ -157,5 +163,11 @@ def test_rational_scalars_are_canonical(L, seed, rows):
         witness = classify_t012(N).witness
         if witness is not None:
             outputs += [witness.matrix.columns(), witness.source.brackets]
+    # the ad tables of L and of a fixed algebra, both built unchecked from
+    # Fraction-typed integral constants
+    H = LieAlgebra._make(QQ, 4, {(1, 2): {3: Fraction(2)}, (1, 3): {4: Fraction(-3)}})
+    for N in (L, H):
+        outputs += [adjoint_matrix(N, [int(a == i) for a in range(N.dim)]).columns()
+                    for i in range(N.dim)]
     bad = [x for out in outputs for x in _entries(out) if not _canonical_rational(x)]
     assert not bad

@@ -144,3 +144,16 @@ def test_bracket_count_limit():
     assert len(document_to_algebra(central_document(MAX_BRACKETS)).brackets) == MAX_BRACKETS
     with pytest.raises(DocumentError, match=f"^brackets: {MAX_BRACKETS + 1} entries"):
         document_to_algebra(central_document(MAX_BRACKETS + 1))
+
+
+def test_rejects_duplicate_json_keys():
+    # json keeps the last of repeated keys; the document must not pass as
+    # the algebra of its last "dim" or its last rhs entry
+    doc = dumps(catalog.heisenberg(QQ, 1))
+    twice_dim = doc.replace('"dim": 3,', '"dim": 3, "dim": 4,')
+    twice_rhs = doc.replace('"3": "1"', '"3": "1", "3": "2"')
+    for text, key in ((twice_dim, "'dim'"), (twice_rhs, "'3'")):
+        assert text != doc
+        with pytest.raises(DocumentError) as err:
+            loads(text)
+        assert "duplicate" in str(err.value) and key in str(err.value)
