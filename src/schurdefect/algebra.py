@@ -5,6 +5,10 @@ Antisymmetry is a representation invariant: only pairs (i, j) with i < j are
 stored, [e_j, e_i] is derived by negation and [e_i, e_i] = 0 implicitly, so
 [x, x] = 0 holds in every characteristic including 2.
 
+Every stored table, however built, is the canonical copy `_check_table`
+returns (1 <= i < j <= dim, targets in 1..dim, non-empty rhs of nonzero
+scalars, each through `Field.coerce`); `_make` skips only the Jacobi check.
+
 The structure constants are read one way: each algebra caches ad(e_i) for
 every basis index as sparse columns {l: [e_i, e_l]} (`_ad_table`). `_ad`
 reads ad(v) from that table, and a bracket of two vectors is ad(v) applied
@@ -23,7 +27,7 @@ from .errors import NotALieAlgebra, NotAnIdeal
 from .fields import Field
 from .linalg import Matrix, Subspace, _apply, _dense, _reduced, _sparse
 
-BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero
+BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero, canonical
 
 # Largest dimension accepted from outside input: algebra documents, the
 # A<n>/H<m>/F<t> family keys and the filiform subcommand. A fixed guard, not a
@@ -47,11 +51,10 @@ class LieAlgebra:
                  name: str | None = None, _validated: bool = False):
         self.field = field
         self.dim = dim
-        self.brackets = brackets
+        self.brackets = _check_table(dim, brackets, field)
         self.name = name
         self._cache: dict = {}
         if not _validated:
-            _check_table(dim, brackets, field.characteristic)
             bad = check_jacobi(self)
             if bad:
                 raise NotALieAlgebra(
@@ -60,7 +63,8 @@ class LieAlgebra:
 
     @classmethod
     def _make(cls, field, dim, brackets, name=None) -> "LieAlgebra":
-        """Internal constructor for tensors that are Lie by construction."""
+        """Internal constructor for tables that are Lie by construction: the
+        table is checked and made canonical, but Jacobi is not checked."""
         return cls(field, dim, brackets, name, _validated=True)
 
     def full_space(self) -> Subspace:
@@ -83,53 +87,48 @@ class LieAlgebra:
         return f"{label}(dim {self.dim} over {self.field})"
 
 
-def _check_table(dim: int, brackets: BracketTable, p: int) -> None:
-    """ValueError naming the first pair unless 1 <= i < j <= dim, every
-    target k is in 1..dim and every rhs is non-empty with nonzero scalars."""
+def _check_table(dim: int, brackets: BracketTable, field: Field) -> BracketTable:
+    """`brackets` with each scalar made canonical by `field.coerce`. Raises
+    ValueError for dim < 0 and, naming the pair, unless 1 <= i < j <= dim,
+    each target is in 1..dim and each rhs is non-empty with nonzero scalars."""
+    if dim < 0:
+        raise ValueError(f"dimension {dim} is negative")
+    table: BracketTable = {}
     for (i, j), cs in brackets.items():
         if not 1 <= i < j <= dim:
             raise ValueError(f"bracket pair ({i}, {j}): need 1 <= i < j <= {dim}")
         if not cs:
             raise ValueError(f"bracket pair ({i}, {j}): empty rhs")
+        row = table[(i, j)] = {}
         for k, c in cs.items():
             if not 1 <= k <= dim:
                 raise ValueError(f"bracket pair ({i}, {j}): target {k} not in 1..{dim}")
-            if not (c % p if p else c):
+            try:
+                c = field.coerce(c)
+            except TypeError:
+                raise ValueError(f"bracket pair ({i}, {j}): {c!r} is no {field} scalar") from None
+            if not c:
                 raise ValueError(f"bracket pair ({i}, {j}): zero scalar at {k}")
+            row[k] = c
+    return table
 
 
 def new_algebra(field: Field, dim: int, brackets, name: str | None = None) -> LieAlgebra:
     """Build and validate a Lie algebra from a bracket list.
 
     `brackets` is an iterable of ((i, j), rhs) with rhs a {k: coeff} mapping;
-    pairs may arrive as (j, i) with i < j and are normalized by negation.
-    Unlisted brackets are zero. Raises NotALieAlgebra on Jacobi violations.
+    a pair (j, i) with i < j is normalized by negation, and no pair may come
+    twice. Unlisted brackets are zero; the table is checked by `_check_table`
+    (so a listed zero scalar raises ValueError) and then for Jacobi
+    (NotALieAlgebra).
     """
-    if dim < 0:
-        raise ValueError("dimension must be nonnegative")
     table: BracketTable = {}
     for (i, j), rhs in brackets:
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise ValueError(f"bracket index out of range: ({i}, {j})")
-        if i == j:
-            raise ValueError(f"bracket [e_{i}, e_{i}] is identically zero")
-        sign = 1
         if i > j:
-            i, j, sign = j, i, -1
+            i, j, rhs = j, i, {k: -c for k, c in rhs.items()}
         if (i, j) in table:
             raise ValueError(f"duplicate bracket pair ({i}, {j})")
-        cs = {}
-        for k, c in rhs.items():
-            k = int(k)
-            if not (1 <= k <= dim):
-                raise ValueError(f"bracket target index out of range: {k}")
-            val = field.coerce(c)
-            if sign < 0:
-                val = field.neg(val)
-            if val:
-                cs[k] = val
-        if cs:
-            table[(i, j)] = cs
+        table[(i, j)] = rhs
     return LieAlgebra(field, dim, table, name)
 
 
@@ -144,12 +143,14 @@ def bracket(L: LieAlgebra, x, y):
 
 def _ad_table(n: int, brackets: BracketTable, p: int) -> list[dict]:
     """ad(e_i) for each 0-based i < n as sparse columns {l: {k: c}}, in one
-    pass over `brackets`: [e_j, e_i] is the negation of [e_i, e_j]. Both
-    halves are in canonical form, whatever scalar types the table holds."""
+    pass over `brackets`: [e_j, e_i] is the negation of [e_i, e_j]. The
+    table is canonical (`_check_table`), and so are both halves: a residue
+    c in 1..p-1 negates to p - c, a rational to -c."""
     ads: list[dict] = [{} for _ in range(n)]
     for (i, j), cs in brackets.items():
-        ads[i - 1][j - 1] = _reduced({k - 1: c for k, c in cs.items()}, p)
-        ads[j - 1][i - 1] = _reduced({k - 1: -c for k, c in cs.items()}, p)
+        ads[i - 1][j - 1] = {k - 1: c for k, c in cs.items()}
+        ads[j - 1][i - 1] = ({k - 1: p - c for k, c in cs.items()} if p
+                             else {k - 1: -c for k, c in cs.items()})
     return ads
 
 
@@ -239,7 +240,7 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     """Block sum: L1 brackets unchanged, L2 shifted, cross brackets zero."""
     L1.field.check_same(L2.field)
     n1 = L1.dim
-    table: BracketTable = {p: dict(cs) for p, cs in L1.brackets.items()}
+    table: BracketTable = dict(L1.brackets)
     for (i, j), cs in L2.brackets.items():
         table[(i + n1, j + n1)] = {k + n1: c for k, c in cs.items()}
     name = None

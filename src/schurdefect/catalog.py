@@ -218,10 +218,10 @@ def get(key: str, field: Field, param=None) -> LieAlgebra:
             raise CatalogError(f"{key} requires a nonzero parameter")
     table = []
     for (i, j, rhs) in brackets:
-        cs = {}
-        for (k, c) in rhs:
-            cs[k] = value if c == _E else field.coerce(c)
-        table.append(((i, j), cs))
+        # a zero parameter leaves out its constant, and then an emptied pair
+        cs = {k: value if c == _E else c for (k, c) in rhs if c != _E or value}
+        if cs:
+            table.append(((i, j), cs))
     name = key if value is None else f"{key}({field.render(value)})"
     return new_algebra(field, dim, table, name=name)
 

@@ -97,9 +97,9 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     complement of A containing L^2. The witness is the base change P whose
     columns are the basis rows of T and then of A: its source, L conjugated
     by P, is T + A(k), since A is central. Returns (T, k, witness) with T
-    read off the first dim T basis vectors of that source: once no bracket
-    of them leaves their span, T is a subalgebra of a validated Lie algebra,
-    so it is Lie by construction and Jacobi is not checked again.
+    read off the first dim T basis vectors of that source; `_make` rejects a
+    target past dim T, so T is a subalgebra of a validated Lie algebra, Lie
+    by construction, and Jacobi is not checked again.
     """
     f = L.field
     full = L.full_space()
@@ -114,8 +114,6 @@ def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     columns = t_space.rows() + a_part.rows()
     P = Matrix._from_columns(f, L.dim, L.dim, dict(enumerate(columns)))
     source = change_basis(L, P)
-    if any(k > q for cs in source.brackets.values() for k in cs):
-        raise ArithmeticError("bracket of stem vectors left the stem")
     name = f"stem({L.name})" if L.name else None
     T = LieAlgebra._make(f, q, source.brackets, name)
     return T, a_part.dim, Homomorphism(source, L, P)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, _ad, product_subspace, quotient
 from .errors import NotNilpotent
-from .linalg import Subspace, _reduced, null_space, preimage, subspace_sum
+from .linalg import Subspace, null_space, preimage, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def annihilator(L: LieAlgebra, W: Subspace | None = None,
                 for e, a in by_coord.get(k, ()):
                     row = system.setdefault(e, {})
                     row[i] = row.get(i, 0) + a * c
-        rows.extend(_reduced(row, f.characteristic) for row in system.values())
+        rows.extend(system.values())
     return null_space(f, n, rows)
 
 

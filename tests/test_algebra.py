@@ -29,6 +29,7 @@ from schurdefect.errors import NotALieAlgebra, NotAnIdeal
 from schurdefect.fields import GF, QQ
 from schurdefect.invariants import center, derived_subalgebra, report
 from schurdefect.linalg import Subspace
+from schurdefect.serialize import dumps, loads
 
 
 def F(x):
@@ -82,6 +83,11 @@ def test_new_algebra_input_errors():
         new_algebra(QQ, 3, [((1, 2), {3: 1}), ((2, 1), {3: 1})])  # duplicate
     with pytest.raises(ValueError):
         new_algebra(QQ, 3, [((2, 2), {3: 1})])  # [x,x] must vanish
+    # a listed rhs obeys the one table contract: no zero scalar, not empty;
+    # a zero scalar at an out-of-range target is rejected too
+    for rhs in ({3: 0}, {3: 1, 1: 0}, {5: 0}, {}):
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            new_algebra(QQ, 3, [((2, 1), rhs)])
 
 
 def test_checking_constructor_rejects_malformed_tables():
@@ -97,13 +103,38 @@ def test_checking_constructor_rejects_malformed_tables():
         (QQ, {(1, 2): {3: 0}}, "(1, 2)"),
         (QQ, {(1, 2): {}}, "(1, 2)"),
         (GF(3), {(1, 2): {3: 3}}, "(1, 2)"),
+        (QQ, {(1, 2): {3: 1.5}}, "(1, 2)"),
+        (GF(3), {(1, 2): {3: 1.5}}, "(1, 2)"),
+        (GF(3), {(1, 3): {3: 1}, (1, 2): {3: Fraction(1, 2)}}, "(1, 2)"),
     ]
     for field, table, pair in bad:
         with pytest.raises(ValueError) as err:
             LieAlgebra(field, 3, table)
         assert type(err.value) is ValueError and pair in str(err.value), table
+    with pytest.raises(ValueError) as err:
+        LieAlgebra(QQ, -1, {})
+    assert type(err.value) is ValueError
     assert LieAlgebra(QQ, 3, {(1, 3): {3: 1}}).brackets == {(1, 3): {3: 1}}
     assert LieAlgebra(QQ, 3, {(1, 2): {3: 1}}) == catalog.heisenberg(QQ, 1)
+
+
+def test_every_table_is_stored_canonical():
+    # the checking constructor and _make store the same canonical copy, so
+    # equality, hashing and documents see one table per algebra
+    H = catalog.heisenberg(GF(3), 1)
+    for c in (4, -2):
+        L = LieAlgebra(GF(3), 3, {(1, 2): {3: c}})
+        assert L == H and hash(L) == hash(H) and loads(dumps(L)) == H
+        assert LieAlgebra._make(GF(3), 3, {(1, 2): {3: c}}) == H
+    L = LieAlgebra(GF(3), 3, {(1, 2): {3: -1}})
+    assert L.brackets == {(1, 2): {3: 2}} and loads(dumps(L)) == L
+    table = {(1, 2): {3: Fraction(2)}}
+    for L in (LieAlgebra(QQ, 3, table), LieAlgebra._make(QQ, 3, table)):
+        assert type(L.brackets[(1, 2)][3]) is int and L.brackets == {(1, 2): {3: 2}}
+    assert table == {(1, 2): {3: Fraction(2)}}  # the caller's table is not changed
+    # _make skips only Jacobi: a zero scalar would leave an empty ad column
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        LieAlgebra._make(QQ, 3, {(1, 2): {3: 0}})
 
 
 def test_bracket_examples():

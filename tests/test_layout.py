@@ -51,3 +51,27 @@ def test_traced_mode_installs():
     paths = (str(SRC.parent), str(ROOT / "schurbench"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; a name listed in `__all__`
+    counts as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    imported = [(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names]
+    return [name for name in imported if name not in used]
+
+
+def test_no_unused_imports():
+    # no linter runs on this package, and a stray import would hide which
+    # modules really depend on which
+    unused = {path.name: names for path in sorted(SRC.glob("*.py"))
+              if (names := _unused_imports(path))}
+    assert not unused
