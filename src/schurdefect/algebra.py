@@ -89,43 +89,51 @@ class LieAlgebra:
 
 def _check_table(dim: int, brackets: BracketTable, field: Field) -> BracketTable:
     """`brackets` with each scalar made canonical by `field.coerce`. Raises
-    ValueError for dim < 0 and, naming the pair, unless 1 <= i < j <= dim,
-    each target is in 1..dim and each rhs is non-empty with nonzero scalars."""
+    ValueError for dim < 0 and, naming the pair, unless i, j and each target
+    are ints (a bool or a float is none) with 1 <= i < j <= dim and targets
+    in 1..dim, and each rhs is non-empty with nonzero scalars."""
     if dim < 0:
         raise ValueError(f"dimension {dim} is negative")
     table: BracketTable = {}
     for (i, j), cs in brackets.items():
-        if not 1 <= i < j <= dim:
-            raise ValueError(f"bracket pair ({i}, {j}): need 1 <= i < j <= {dim}")
+        if type(i) is not int or type(j) is not int or not 1 <= i < j <= dim:
+            raise ValueError(f"bracket pair ({i}, {j}): need ints 1 <= i < j <= {dim}")
         if not cs:
             raise ValueError(f"bracket pair ({i}, {j}): empty rhs")
         row = table[(i, j)] = {}
         for k, c in cs.items():
-            if not 1 <= k <= dim:
-                raise ValueError(f"bracket pair ({i}, {j}): target {k} not in 1..{dim}")
-            try:
-                c = field.coerce(c)
-            except TypeError:
-                raise ValueError(f"bracket pair ({i}, {j}): {c!r} is no {field} scalar") from None
+            if type(k) is not int or not 1 <= k <= dim:
+                raise ValueError(f"bracket pair ({i}, {j}): target {k!r} is no int in 1..{dim}")
+            c = _coerce(field, i, j, c)
             if not c:
                 raise ValueError(f"bracket pair ({i}, {j}): zero scalar at {k}")
             row[k] = c
     return table
 
 
+def _coerce(field: Field, i: int, j: int, c):
+    """`field.coerce(c)`, raising ValueError naming the pair (i, j) for a
+    value that is no scalar of the field."""
+    try:
+        return field.coerce(c)
+    except TypeError:
+        raise ValueError(f"bracket pair ({i}, {j}): {c!r} is no {field} scalar") from None
+
+
 def new_algebra(field: Field, dim: int, brackets, name: str | None = None) -> LieAlgebra:
     """Build and validate a Lie algebra from a bracket list.
 
     `brackets` is an iterable of ((i, j), rhs) with rhs a {k: coeff} mapping;
-    a pair (j, i) with i < j is normalized by negation, and no pair may come
-    twice. Unlisted brackets are zero; the table is checked by `_check_table`
-    (so a listed zero scalar raises ValueError) and then for Jacobi
-    (NotALieAlgebra).
+    a pair (j, i) with i < j is normalized by negation, after its scalars are
+    coerced, and no pair may come twice. Unlisted brackets are zero; the
+    table is checked by `_check_table` (so a listed zero scalar raises
+    ValueError) and then for Jacobi (NotALieAlgebra).
     """
     table: BracketTable = {}
     for (i, j), rhs in brackets:
         if i > j:
-            i, j, rhs = j, i, {k: -c for k, c in rhs.items()}
+            i, j = j, i
+            rhs = {k: -_coerce(field, i, j, c) for k, c in rhs.items()}
         if (i, j) in table:
             raise ValueError(f"duplicate bracket pair ({i}, {j})")
         table[(i, j)] = rhs

@@ -12,9 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, _ad, product_subspace, quotient
+from .algebra import LieAlgebra, _ad, _ads, product_subspace, quotient
 from .errors import NotNilpotent
-from .linalg import Subspace, null_space, preimage, subspace_sum
+from .linalg import (
+    Subspace,
+    _null_vectors,
+    _rref_rows,
+    _sub_scaled,
+    null_space,
+    preimage,
+    subspace_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,13 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
 def upper_central_series(L: LieAlgebra) -> list[Subspace]:
     """Z_1 = Z(L), Z_{i+1} = ann(Z_i, L) = {x : [x, L] in Z_i}, listed until
     the first repeat or L itself (Z_0 = 0 is not listed). Same objects as
-    the quotient-preimage description."""
+    the quotient-preimage description.
+
+    Each term after the center is grown from the one before alone
+    (`_ucs_step`), never solved again over all of L. Let C be the columns
+    off Z_i's pivots, so L = Z_i + span(e_c : c in C). Z_i is an ideal, so
+    [x, Z_i] lies in Z_i for every x and needs no check: Z_{i+1} is Z_i plus
+    the x on C with [x, e_b] in Z_i for every b in C."""
     def build(a: LieAlgebra):
         terms: list[Subspace] = []
         z = center(a)
@@ -119,9 +133,41 @@ def upper_central_series(L: LieAlgebra) -> list[Subspace]:
             terms.append(z)
             if z.is_full():
                 break
-            z = annihilator(a, z)
+            z = _ucs_step(a, z)
         return terms
     return _cached(L, "ucs", build)
+
+
+def _ucs_step(L: LieAlgebra, z: Subspace) -> Subspace:
+    """The term after z = Z_i, a proper ideal (see `upper_central_series`).
+
+    The conditions [x, e_b] in z read only the cached columns [e_c, e_b],
+    b and c off z's pivots: each is reduced modulo z at the pivots it holds
+    (z's rows vanish on each other's pivots), and entry k of the remainder
+    gives the equation sum_c x_c [e_c, e_b]_k = 0. Null vectors are taken on
+    the columns off z's pivots only, and fed to the kernel started from z's
+    rows.
+    """
+    f, p = L.field, L.field.characteristic
+    zrows = dict(zip(z.pivots, z.rows()))
+    off = [c for c in range(L.dim) if c not in zrows]
+    ads = _ads(L)
+    system: dict[tuple, dict] = {}  # (b, k) -> {c: coefficient of x_c}
+    for c in off:
+        for b, col in ads[c].items():
+            if b in zrows:
+                continue
+            rem = col
+            if not zrows.keys().isdisjoint(col):
+                rem = dict(col)
+                for k, x in col.items():
+                    if k in zrows:
+                        _sub_scaled(rem, x, zrows[k], p)
+            for k, x in rem.items():
+                system.setdefault((b, k), {})[c] = x
+    rows, pivots = _rref_rows(f, system.values())
+    return Subspace(f, L.dim,
+                    *_rref_rows(f, _null_vectors(f, rows, pivots, off), z))
 
 
 def is_nilpotent(L: LieAlgebra) -> bool:

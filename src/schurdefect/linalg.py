@@ -8,12 +8,13 @@ when integral, so that integral work stays on ints. Every elimination runs
 through one sparse Gauss-Jordan kernel, `_rref_rows`, over such rows; it
 takes dense lists or dicts, keeps its rows fully reduced after every input
 row, so one pass reduces each new row, and returns the fully reduced
-row-echelon form, which is canonical. A Subspace keeps only that form, the
-kernel's sparse rows: their equality is subspace equality (there are no
-tolerances anywhere), and reduction, containment and complements visit only
-nonzero entries. A Matrix keeps only its sparse columns, so products,
-inverses and kernels never visit a zero. The dense `Subspace.basis` and
-`Matrix.data` are built when read.
+row-echelon form, which is canonical. It may start from a Subspace's rows,
+so a sum of subspaces reduces only the rows it adds. A Subspace keeps only
+that form, the kernel's sparse rows: their equality is subspace equality
+(there are no tolerances anywhere), and reduction, containment and
+complements visit only nonzero entries. A Matrix keeps only its sparse
+columns, so products, inverses and kernels never visit a zero. The dense
+`Subspace.basis` and `Matrix.data` are built when read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .errors import NotContained, SingularMatrix
 from .fields import Field, canonical
 
 
-def _rref_rows(field: Field, rows):
-    """Reduced row echelon form of `rows`, dense lists or {col: x} dicts.
+def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
+    """Reduced row echelon form of `rows`, dense lists or {col: x} dicts,
+    together with the rows of `start`, if given.
 
     Returns (sparse_rows, pivot_cols) sorted by pivot. Zero rows are dropped;
     pivot entries are 1 and pivot columns are zero elsewhere (fully reduced,
@@ -36,11 +38,20 @@ def _rref_rows(field: Field, rows):
     Python's operators act on the scalars directly, and each row read,
     scaled or reduced is brought back to canonical form here (see `fields`):
     residues in [0, p) over GF(p), ints for integral values over Q.
+
+    A `start` Subspace is already canonical, so its rows become the first
+    tails as they are, copied (`start` is never changed), and their columns
+    seed the seen set: only `rows` are reduced, and the result is the
+    canonical form of the span of both.
     """
     p = field.characteristic
     one = field.one
     tails: dict[int, dict] = {}  # pivot column -> the row right of its pivot
     seen: set = set()  # every column any tail has held
+    if start is not None:
+        for r, pc in zip(start.rows(), start.pivots):
+            tails[pc] = tail = {c: x for c, x in r.items() if c != pc}
+            seen.update(tail)
     for row in rows:
         r = _reduced(row if isinstance(row, dict) else dict(enumerate(row)), p)
         for pc in [c for c in r if c in tails]:
@@ -116,12 +127,13 @@ def _transpose(vecs: dict) -> dict:
     return out
 
 
-def _null_vectors(field: Field, rows, pivots, n: int) -> list[dict]:
-    """{x : r . x = 0 for each RREF row r}, spanned in closed form: one vector
-    e_c - sum_i rows[i][c] e_{pivots[i]} per non-pivot column c."""
+def _null_vectors(field: Field, rows, pivots, cols) -> list[dict]:
+    """{x : r . x = 0 for each RREF row r} among the vectors on the columns
+    `cols`, which hold every column of the rows, spanned in closed form: one
+    vector e_c - sum_i rows[i][c] e_{pivots[i]} per non-pivot column c."""
     one, neg = field.one, field.neg
     pivset = set(pivots)
-    vecs = {c: {c: one} for c in range(n) if c not in pivset}
+    vecs = {c: {c: one} for c in cols if c not in pivset}
     for r, pc in zip(rows, pivots):
         for c, x in r.items():
             if c != pc:
@@ -133,7 +145,7 @@ def null_space(field: Field, n: int, rows) -> "Subspace":
     """{x in F^n : r . x = 0 for every row r}; rows are dense lists or
     sparse {col: x} dicts."""
     return Subspace.from_vectors(
-        field, n, _null_vectors(field, *_rref_rows(field, rows), n))
+        field, n, _null_vectors(field, *_rref_rows(field, rows), range(n)))
 
 
 class Matrix:
@@ -336,7 +348,7 @@ class Subspace:
         """Independent sparse functionals whose common zeros are self: one
         per non-pivot column c, e_c* - sum_i basis[i][c] e*_{p_i}."""
         return _null_vectors(self.field, self._rows, self.pivots,
-                             self.ambient_dim)
+                             range(self.ambient_dim))
 
     def equations(self) -> Matrix:
         """Matrix E with kernel(E) = self; rows are `equation_rows()`."""
@@ -364,8 +376,9 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    """u + v: the kernel started from u's canonical rows, fed only v's."""
     _check_ambient(u, v)
-    return Subspace.from_vectors(u.field, u.ambient_dim, u.rows() + v.rows())
+    return Subspace(u.field, u.ambient_dim, *_rref_rows(u.field, v.rows(), u))
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:

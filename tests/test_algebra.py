@@ -88,6 +88,11 @@ def test_new_algebra_input_errors():
     for rhs in ({3: 0}, {3: 1, 1: 0}, {5: 0}, {}):
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             new_algebra(QQ, 3, [((2, 1), rhs)])
+    # a value that is no scalar fails the same way in either order, before
+    # the (j, i) order negates it
+    for pair in ((1, 2), (2, 1)):
+        with pytest.raises(ValueError, match=r"\(1, 2\): '1' is no Q scalar"):
+            new_algebra(QQ, 3, [(pair, {3: "1"})])
 
 
 def test_checking_constructor_rejects_malformed_tables():
@@ -106,6 +111,10 @@ def test_checking_constructor_rejects_malformed_tables():
         (QQ, {(1, 2): {3: 1.5}}, "(1, 2)"),
         (GF(3), {(1, 2): {3: 1.5}}, "(1, 2)"),
         (GF(3), {(1, 3): {3: 1}, (1, 2): {3: Fraction(1, 2)}}, "(1, 2)"),
+        # an index is a plain int: not a float, not a bool
+        (QQ, {(1.0, 2): {3: 1}}, "(1.0, 2)"),
+        (QQ, {(1, 2): {3.0: 1}}, "(1, 2)"),
+        (QQ, {(True, 2): {3: 1}}, "(True, 2)"),
     ]
     for field, table, pair in bad:
         with pytest.raises(ValueError) as err:

@@ -107,18 +107,19 @@ def test_ucs_consistency():
 
 
 def test_ucs_stops_at_full_space(monkeypatch):
-    # once a term is L, ann(L, L) = L adds nothing and is not computed
+    # once a term is L, the next term is L again and is not computed: the
+    # step that grows Z_{i+1} from Z_i runs, but never on a full term
     import schurdefect.invariants as inv
-    real, full_w = inv.annihilator, []
+    real, full_z = inv._ucs_step, []
 
-    def spy(L, W=None, U=None):
-        full_w.append(W is not None and W.is_full())
-        return real(L, W, U)
+    def spy(L, z):
+        full_z.append(z.is_full())
+        return real(L, z)
 
-    monkeypatch.setattr(inv, "annihilator", spy)
+    monkeypatch.setattr(inv, "_ucs_step", spy)
     for key in ("A3", "H2", "L4_3", "L5_6", "L5_9", "L6_14"):
         assert upper_central_series(catalog.get(key, QQ))[-1].is_full()
-    assert full_w and not any(full_w)
+    assert full_z and not any(full_z)
 
 
 def test_min_generators():

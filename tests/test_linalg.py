@@ -227,6 +227,39 @@ def test_rref_rows_new_pivot_in_no_earlier_row():
     assert (rows, pivots) == ([{0: 1}, {1: 1, 3: 5}, {2: 1, 3: Fraction(-1, 2)}], [0, 1, 2])
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_sparse_rows(), st.integers(0, 10))
+def test_rref_rows_from_a_start_basis_match_textbook(case, split):
+    # the first rows span the start subspace, the others are fed to the
+    # kernel started from it: the result is the canonical form of both, the
+    # start subspace is left as it was, and subspace_sum agrees
+    field, ncols, rows = case
+    start = Subspace.from_vectors(field, ncols, rows[:split])
+    before = ([dict(r) for r in start.rows()], start.pivots)
+    new = rows[split:]
+    dense = [[r.get(c, field.zero) for c in range(ncols)]
+             for r in start.rows() + new]
+    want = textbook_rref(field, dense, ncols)
+    reduced, pivots = _rref_rows(field, new, start)
+    assert ([[r.get(c, field.zero) for c in range(ncols)] for r in reduced],
+            pivots) == want
+    assert (start.rows(), start.pivots) == before
+    both = Subspace.from_vectors(field, ncols, start.rows() + new)
+    assert subspace_sum(start, Subspace.from_vectors(field, ncols, new)) == both
+
+
+def test_rref_rows_from_a_start_basis_clears_a_new_pivot_from_its_rows():
+    # the new row's pivot, column 2, sits in the start row, whose copy is
+    # cleared while the start subspace keeps its own row
+    for field, lead in ((QQ, -1), (GF(2), 1), (GF(3), 2), (GF(5), 4)):
+        start = Subspace.from_vectors(field, 3, [[1, 0, 1]])
+        rows, pivots = _rref_rows(field, [[0, 0, lead]], start)
+        assert (rows, pivots) == ([{0: 1}, {2: 1}], [0, 2])
+        assert start.rows() == [{0: 1, 2: 1}]
+        new = Subspace.from_vectors(field, 3, [[0, 0, lead]])
+        assert subspace_sum(start, new) == Subspace(field, 3, rows, pivots)
+
+
 def test_equations_roundtrip():
     rng = random.Random(29)
     for field in (QQ, GF(2), GF(5)):

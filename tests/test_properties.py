@@ -35,7 +35,16 @@ from schurdefect.classify import (
     stem_decomposition,
 )
 from schurdefect.fields import QQ, PrimeField
-from schurdefect.invariants import center, min_generators, moneyhun_check, report
+from schurdefect.invariants import (
+    annihilator,
+    center,
+    min_generators,
+    moneyhun_check,
+    nilpotency_class,
+    report,
+    second_center,
+    upper_central_series,
+)
 from schurdefect.linalg import Matrix, kernel, rref
 from schurdefect.serialize import dumps, loads
 
@@ -93,6 +102,21 @@ def test_invariants_and_bounds(L, seed):
     assert t == min_generators(Q) * rep.dim_derived - Q.dim
     assert loads(dumps(L)) == L
     assert loads(dumps(M)) == M
+
+
+@PROPERTIES
+@given(adapted_algebras(), st.integers(0, 2 ** 32 - 1))
+def test_upper_central_series_is_the_annihilator_chain(L, seed):
+    # each term, grown from the one before alone, equals the annihilator of
+    # that term over all of L, and the second term the quotient preimage
+    for N in (L, _moved(L, seed)):
+        ucs = upper_central_series(N)
+        previous = None  # Z_0 = 0
+        for term in ucs:
+            assert term == annihilator(N, previous)
+            previous = term
+        assert ucs[-1].is_full() and len(ucs) == nilpotency_class(N)
+        assert ucs[min(1, len(ucs) - 1)] == second_center(N)
 
 
 # the catalog stem of each t = 1, 2 verdict
