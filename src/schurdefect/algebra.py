@@ -89,11 +89,12 @@ class LieAlgebra:
 
 def _check_table(dim: int, brackets: BracketTable, field: Field) -> BracketTable:
     """`brackets` with each scalar made canonical by `field.coerce`. Raises
-    ValueError for dim < 0 and, naming the pair, unless i, j and each target
-    are ints (a bool or a float is none) with 1 <= i < j <= dim and targets
-    in 1..dim, and each rhs is non-empty with nonzero scalars."""
-    if dim < 0:
-        raise ValueError(f"dimension {dim} is negative")
+    ValueError unless dim is an int >= 0 and, naming the pair, unless i, j
+    and each target are ints (a bool or a float is none) with
+    1 <= i < j <= dim and targets in 1..dim, and each rhs is non-empty with
+    nonzero scalars."""
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"dimension {dim!r} is no int >= 0")
     table: BracketTable = {}
     for (i, j), cs in brackets.items():
         if type(i) is not int or type(j) is not int or not 1 <= i < j <= dim:

@@ -6,6 +6,10 @@ t(L) is the nonnegative integer with dim L/Z(L) = d * dim L^2 - t(L), where d
 is the minimal generator number of L/Z(L). For nilpotent algebras d is a rank:
 d(L/Z) = dim L/Z - dim (L^2+Z)/Z = dim L - dim(L^2 + Z), so t is computed from
 three subspace dimensions without building the quotient algebra.
+
+Z(L), the centralizer C_L(U) and every later term of the upper central
+series are one kind of subspace, {x : [x, u] in W for every u in U} with W
+an ideal, and all are solved by one kernel, `annihilator`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .linalg import (
     _null_vectors,
     _rref_rows,
     _sub_scaled,
-    null_space,
     preimage,
     subspace_sum,
 )
@@ -56,39 +59,48 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
 
 def annihilator(L: LieAlgebra, W: Subspace | None = None,
                 U: Subspace | None = None) -> Subspace:
-    """{x : [x, u] in W for every u in U}; W defaults to 0 and U to L.
+    """{x : [x, u] in W for every u in U}, for W an ideal of L (0 by
+    default) and U a subspace (L by default).
 
-    One linear condition per basis row u of U and closed-form equation phi
-    of W: sum_i x_i phi([u, e_i]) = 0, as [x, u] = -[u, x] flips every sign
-    alike. The columns of ad(u) are matched to the equations by coordinate,
-    so only nonzero entries are visited.
+    [W, U] lies in the ideal W, so W lies in the result, and x is solved for
+    only on the columns C off W's pivots: L = W + span(e_c : c in C). The
+    conditions come from u = e_b, b in C, when U is L (e_b in W gives none),
+    and from U's rows, through `_ad`, otherwise. Each column [u, e_c], c in
+    C, is reduced modulo W at the pivots it holds (W's rows vanish on each
+    other's pivots), and entry k of the remainder gives one equation
+    sum_c x_c [u, e_c]_k = 0, as [x, u] = -[u, x] flips every sign alike.
+    Null vectors are taken on C only and fed to the kernel started from W.
     """
-    f = L.field
-    n = L.dim
+    f, n, p = L.field, L.dim, L.field.characteristic
     W = Subspace.zero(f, n) if W is None else W
-    U = L.full_space() if U is None else U
     for s in (W, U):
-        f.check_same(s.field)
-        if s.ambient_dim != n:
-            raise ValueError("subspace ambient dimension must equal the algebra dimension")
-    by_coord: dict[int, list] = {}  # k -> [(equation, its coefficient on e_k)]
-    for e, phi in enumerate(W.equation_rows()):
-        for k, a in phi.items():
-            by_coord.setdefault(k, []).append((e, a))
-    rows = []
-    for u in U.rows():
-        system: dict[int, dict] = {}  # equation -> {i: coefficient of x_i}
-        for i, col in _ad(L, u).items():
-            for k, c in col.items():
-                for e, a in by_coord.get(k, ()):
-                    row = system.setdefault(e, {})
-                    row[i] = row.get(i, 0) + a * c
-        rows.extend(system.values())
-    return null_space(f, n, rows)
+        if s is not None:
+            f.check_same(s.field)
+            if s.ambient_dim != n:
+                raise ValueError("subspace ambient dimension must equal the algebra dimension")
+    wrows = dict(zip(W.pivots, W.rows()))
+    off = [c for c in range(n) if c not in wrows]
+    ads = _ads(L)
+    ad_us = [ads[b] for b in off] if U is None else [_ad(L, u) for u in U.rows()]
+    system: dict[tuple, dict] = {}  # (u, k) -> {c: coefficient of x_c}
+    for a, ad_u in enumerate(ad_us):
+        for c, col in ad_u.items():
+            if c in wrows:
+                continue
+            rem = col
+            if not wrows.keys().isdisjoint(col):
+                rem = dict(col)
+                for k, x in col.items():
+                    if k in wrows:
+                        _sub_scaled(rem, x, wrows[k], p)
+            for k, x in rem.items():
+                system.setdefault((a, k), {})[c] = x
+    rows, pivots = _rref_rows(f, system.values())
+    return Subspace(f, n, *_rref_rows(f, _null_vectors(f, rows, pivots, off), W))
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """Z(L) = ann(0, L)."""
+    """Z(L) = ann(0, L) = `annihilator(L)`."""
     return _cached(L, "center", annihilator)
 
 
@@ -120,11 +132,9 @@ def upper_central_series(L: LieAlgebra) -> list[Subspace]:
     the first repeat or L itself (Z_0 = 0 is not listed). Same objects as
     the quotient-preimage description.
 
-    Each term after the center is grown from the one before alone
-    (`_ucs_step`), never solved again over all of L. Let C be the columns
-    off Z_i's pivots, so L = Z_i + span(e_c : c in C). Z_i is an ideal, so
-    [x, Z_i] lies in Z_i for every x and needs no check: Z_{i+1} is Z_i plus
-    the x on C with [x, e_b] in Z_i for every b in C."""
+    Each term after the center is `annihilator(L, Z_i)`: Z_i is an ideal, so
+    the term is grown from Z_i alone, on the columns off Z_i's pivots, never
+    solved again over all of L."""
     def build(a: LieAlgebra):
         terms: list[Subspace] = []
         z = center(a)
@@ -133,41 +143,9 @@ def upper_central_series(L: LieAlgebra) -> list[Subspace]:
             terms.append(z)
             if z.is_full():
                 break
-            z = _ucs_step(a, z)
+            z = annihilator(a, z)
         return terms
     return _cached(L, "ucs", build)
-
-
-def _ucs_step(L: LieAlgebra, z: Subspace) -> Subspace:
-    """The term after z = Z_i, a proper ideal (see `upper_central_series`).
-
-    The conditions [x, e_b] in z read only the cached columns [e_c, e_b],
-    b and c off z's pivots: each is reduced modulo z at the pivots it holds
-    (z's rows vanish on each other's pivots), and entry k of the remainder
-    gives the equation sum_c x_c [e_c, e_b]_k = 0. Null vectors are taken on
-    the columns off z's pivots only, and fed to the kernel started from z's
-    rows.
-    """
-    f, p = L.field, L.field.characteristic
-    zrows = dict(zip(z.pivots, z.rows()))
-    off = [c for c in range(L.dim) if c not in zrows]
-    ads = _ads(L)
-    system: dict[tuple, dict] = {}  # (b, k) -> {c: coefficient of x_c}
-    for c in off:
-        for b, col in ads[c].items():
-            if b in zrows:
-                continue
-            rem = col
-            if not zrows.keys().isdisjoint(col):
-                rem = dict(col)
-                for k, x in col.items():
-                    if k in zrows:
-                        _sub_scaled(rem, x, zrows[k], p)
-            for k, x in rem.items():
-                system.setdefault((b, k), {})[c] = x
-    rows, pivots = _rref_rows(f, system.values())
-    return Subspace(f, L.dim,
-                    *_rref_rows(f, _null_vectors(f, rows, pivots, off), z))
 
 
 def is_nilpotent(L: LieAlgebra) -> bool:
@@ -190,7 +168,8 @@ def min_generators(L: LieAlgebra) -> int:
 
 
 def centralizer(L: LieAlgebra, u: Subspace) -> Subspace:
-    """{x : [x, v] = 0 for every v in u} = ann(0, u)."""
+    """C_L(u) = {x : [x, v] = 0 for every v in u} = ann(0, u) =
+    `annihilator(L, None, u)`."""
     return annihilator(L, None, u)
 
 

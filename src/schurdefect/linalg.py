@@ -32,9 +32,10 @@ def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
     canonical). Rows are kept as tails, a pivot's row without its pivot
     entry, and after every input row the tails hold no pivot column. A new
     row is therefore reduced in one pass over the pivot columns it holds, and
-    scaled to a leading 1 (a -1 lead is negated, not divided by); its pivot
-    column is then cleared from the tails that hold it, a scan skipped when
-    no tail has ever held that column. Only nonzero entries are visited.
+    scaled to a leading 1 (a lead of -1, that is p - 1, with p = 0 over Q,
+    is negated, not divided by); its pivot column is then cleared from the
+    tails that hold it, a scan skipped when no tail has ever held that
+    column. Only nonzero entries are visited.
     Python's operators act on the scalars directly, and each row read,
     scaled or reduced is brought back to canonical form here (see `fields`):
     residues in [0, p) over GF(p), ints for integral values over Q.
@@ -61,7 +62,7 @@ def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
         pc = min(r)
         lead = r.pop(pc)
         if lead != one:
-            inv = -1 if lead == -1 else field.div(one, lead)
+            inv = -1 if lead == p - 1 else field.div(one, lead)
             r = _reduced({k: inv * x for k, x in r.items()}, p)
         if pc in seen:
             for tail in tails.values():

@@ -1,6 +1,6 @@
 """Shared test helpers: seeded random scalars, vectors and base changes,
-dense textbook brackets, products and Gauss-Jordan as oracles, and algebra
-documents of a given bracket count."""
+dense textbook brackets, products, Gauss-Jordan and annihilators as oracles,
+and algebra documents of a given bracket count."""
 
 from fractions import Fraction
 from itertools import combinations, islice
@@ -116,3 +116,32 @@ def textbook_rref(field, rows, ncols):
                 m[i] = [field.sub(x, field.mul(k, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+def textbook_annihilator(L, W, U):
+    """The dense RREF basis of ann(W, U) = {x : [x, u] in W for every u in
+    U}, for any subspace W: the x-part of the kernel of [M | -B]. M stacks
+    the textbook matrices x -> [x, u] over the basis rows u of U and B is
+    the block-diagonal matrix with a basis of W in each block, so a kernel
+    vector (x, y) says [x, u_j] = B_W y_j; dense Gauss-Jordan finds it."""
+    field, n = L.field, L.dim
+    e = [[field.one if t == i else field.zero for t in range(n)] for i in range(n)]
+    ws = W.basis
+    width = n + U.dim * len(ws)
+    system = []
+    for a, u in enumerate(U.basis):
+        ad = [textbook_bracket(L, x, u) for x in e]  # the columns of x -> [x, u]
+        for k in range(n):
+            row = [ad[i][k] for i in range(n)] + [field.zero] * (width - n)
+            for b, w in enumerate(ws):
+                row[n + a * len(ws) + b] = field.neg(w[k])
+            system.append(row)
+    rows, pivots = textbook_rref(field, system, width)
+    kernel = []
+    for c in (c for c in range(width) if c not in pivots):
+        v = [field.zero] * width
+        v[c] = field.one
+        for r, pc in zip(rows, pivots):
+            v[pc] = field.neg(r[c])
+        kernel.append(v[:n])
+    return textbook_rref(field, kernel, n)[0]

@@ -120,9 +120,11 @@ def test_checking_constructor_rejects_malformed_tables():
         with pytest.raises(ValueError) as err:
             LieAlgebra(field, 3, table)
         assert type(err.value) is ValueError and pair in str(err.value), table
-    with pytest.raises(ValueError) as err:
-        LieAlgebra(QQ, -1, {})
-    assert type(err.value) is ValueError
+    # the dim is a plain int >= 0 as well
+    for dim in (-1, True, 2.0):
+        with pytest.raises(ValueError) as err:
+            LieAlgebra(QQ, dim, {})
+        assert type(err.value) is ValueError, dim
     assert LieAlgebra(QQ, 3, {(1, 3): {3: 1}}).brackets == {(1, 3): {3: 1}}
     assert LieAlgebra(QQ, 3, {(1, 2): {3: 1}}) == catalog.heisenberg(QQ, 1)
 

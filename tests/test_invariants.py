@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_invertible, textbook_bracket, textbook_rref
+from conftest import random_invertible, random_vector, textbook_annihilator
 from schurdefect import catalog
 from schurdefect.algebra import bracket, change_basis, direct_sum, new_algebra, quotient
 from schurdefect.errors import NotNilpotent
@@ -108,15 +108,17 @@ def test_ucs_consistency():
 
 def test_ucs_stops_at_full_space(monkeypatch):
     # once a term is L, the next term is L again and is not computed: the
-    # step that grows Z_{i+1} from Z_i runs, but never on a full term
+    # step that grows Z_{i+1} from Z_i, an annihilator call with a W, runs,
+    # but never on a full term
     import schurdefect.invariants as inv
-    real, full_z = inv._ucs_step, []
+    real, full_z = inv.annihilator, []
 
-    def spy(L, z):
-        full_z.append(z.is_full())
-        return real(L, z)
+    def spy(L, W=None, U=None):
+        if W is not None:
+            full_z.append(W.is_full())
+        return real(L, W, U)
 
-    monkeypatch.setattr(inv, "_ucs_step", spy)
+    monkeypatch.setattr(inv, "annihilator", spy)
     for key in ("A3", "H2", "L4_3", "L5_6", "L5_9", "L6_14"):
         assert upper_central_series(catalog.get(key, QQ))[-1].is_full()
     assert full_z and not any(full_z)
@@ -299,44 +301,22 @@ def test_annihilator_brute_force():
 
 
 def test_annihilator_matches_textbook_kernel():
-    # ann(W, U) is the x-part of the kernel of [M | -B]: M stacks the
-    # textbook matrices x -> [x, u] over the basis rows u of U and B is the
-    # block-diagonal matrix with a basis of W in each block, so a kernel
-    # vector (x, y) says [x, u_j] = B_W y_j; dense Gauss-Jordan finds it
+    # the zero ideal and each UCS term as W, against the dense kernel; with
+    # W = Z(L) and U a random line, U need not contain W
     rng = random.Random(79)
     for field in (QQ, GF(5)):
         for entry in catalog.list_all(field):
             base = catalog.get(entry.key, field, catalog.default_param(entry, field))
             for L in (base, change_basis(base, random_invertible(field, base.dim, rng))):
-                n = L.dim
-                e = [basis_vec(n, i, field) for i in range(1, n + 1)]
-                zero, full = Subspace.zero(field, n), L.full_space()
+                zero, full = Subspace.zero(field, L.dim), L.full_space()
                 l2 = derived_subalgebra(L)
                 ucs = upper_central_series(L)
-                cases = [(zero, full, center(L)), (zero, l2, centralizer(L, l2))]
+                line = Subspace.from_vectors(field, L.dim, [random_vector(field, L.dim, rng)])
+                cases = [(zero, full, center(L)), (zero, l2, centralizer(L, l2)),
+                         (ucs[0], line, annihilator(L, ucs[0], line))]
                 cases += [(w, full, z) for w, z in zip(ucs, ucs[1:])]
-                ads = {id(U): [[textbook_bracket(L, x, u) for x in e] for u in U.basis]
-                       for U in (full, l2)}  # per u, the columns of x -> [x, u]
                 for W, U, got in cases:
-                    ws = W.basis
-                    width = n + U.dim * len(ws)
-                    system = []
-                    for a, ad in enumerate(ads[id(U)]):
-                        for k in range(n):
-                            row = [ad[i][k] for i in range(n)] + [field.zero] * (width - n)
-                            for b, w in enumerate(ws):
-                                row[n + a * len(ws) + b] = field.neg(w[k])
-                            system.append(row)
-                    rows, pivots = textbook_rref(field, system, width)
-                    kernel = []
-                    for c in (c for c in range(width) if c not in pivots):
-                        v = [field.zero] * width
-                        v[c] = field.one
-                        for r, pc in zip(rows, pivots):
-                            v[pc] = field.neg(r[c])
-                        kernel.append(v[:n])
-                    want, _ = textbook_rref(field, kernel, n)
-                    assert got.basis == want, (L, W, U)
+                    assert got.basis == textbook_annihilator(L, W, U), (L, W, U)
 
 
 def test_filiform_upper_central_series_dims():

@@ -75,3 +75,28 @@ def test_no_unused_imports():
     unused = {path.name: names for path in sorted(SRC.glob("*.py"))
               if (names := _unused_imports(path))}
     assert not unused
+
+
+def _private_definitions(tree):
+    """The private (`_name`, not dunder) functions and classes defined at
+    module level or as methods of a module-level class."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and d.name.startswith("_") and not d.name.startswith("__")):
+                yield d.name
+
+
+def test_no_dead_private_functions():
+    # a private helper that nothing reads is dead code left behind by a
+    # rewrite; a read is a name or an attribute anywhere in the package
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+    dead = {name: unread for name, tree in trees.items()
+            if (unread := sorted(set(_private_definitions(tree)) - read))}
+    assert not dead

@@ -221,6 +221,19 @@ def test_rref_rows_clears_a_new_pivot_from_earlier_rows():
     assert _rref_rows(GF(3), [[1, 2, 0], [0, 2, 1]]) == ([{0: 1, 2: 2}, {1: 1, 2: 2}], [0, 1])
 
 
+def test_rref_rows_negates_a_lead_of_p_minus_1(monkeypatch):
+    # over GF(3) every lead is 1 or 2 = -1, so the kernel never divides
+    field = GF(3)
+    rows = [[2, 1, 0, 1], [0, 2, 2, 0], [1, 1, 2, 2], [0, 0, 0, 2]]
+    want = textbook_rref(field, rows, 4)
+
+    def no_div(a, b):
+        raise AssertionError(f"GF(3).div({a}, {b}) called")
+
+    monkeypatch.setattr(field, "div", no_div)
+    assert _sparse_rref_dense(field, rows, 4) == want
+
+
 def test_rref_rows_new_pivot_in_no_earlier_row():
     # no kept row has ever held column 2 or column 0, so nothing is cleared
     rows, pivots = _rref_rows(QQ, [[0, 1, 0, 5], [0, 0, -2, 1], [F(3), 0, 0, 0]])

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, assume, find, given, settings, strategies as st
 
-from conftest import fields_for_tests, random_invertible
+from conftest import fields_for_tests, random_invertible, textbook_annihilator
 from schurdefect import catalog
 from schurdefect.algebra import (
     LieAlgebra,
@@ -36,8 +36,9 @@ from schurdefect.classify import (
 )
 from schurdefect.fields import QQ, PrimeField
 from schurdefect.invariants import (
-    annihilator,
     center,
+    centralizer,
+    derived_subalgebra,
     min_generators,
     moneyhun_check,
     nilpotency_class,
@@ -45,7 +46,7 @@ from schurdefect.invariants import (
     second_center,
     upper_central_series,
 )
-from schurdefect.linalg import Matrix, kernel, rref
+from schurdefect.linalg import Matrix, Subspace, kernel, rref
 from schurdefect.serialize import dumps, loads
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=100)
@@ -107,14 +108,18 @@ def test_invariants_and_bounds(L, seed):
 @PROPERTIES
 @given(adapted_algebras(), st.integers(0, 2 ** 32 - 1))
 def test_upper_central_series_is_the_annihilator_chain(L, seed):
-    # each term, grown from the one before alone, equals the annihilator of
-    # that term over all of L, and the second term the quotient preimage
+    # each term is the annihilator of the one before over all of L, the
+    # center and the centralizer of L^2 are annihilators of 0, all checked
+    # against the dense textbook kernel, and the second term is the quotient
+    # preimage
     for N in (L, _moved(L, seed)):
         ucs = upper_central_series(N)
-        previous = None  # Z_0 = 0
-        for term in ucs:
-            assert term == annihilator(N, previous)
-            previous = term
+        zero, full = Subspace.zero(N.field, N.dim), N.full_space()
+        l2 = derived_subalgebra(N)
+        cases = [(zero, full, center(N)), (zero, l2, centralizer(N, l2))]
+        cases += [(w, full, z) for w, z in zip(ucs, ucs[1:])]
+        for W, U, got in cases:
+            assert got.basis == textbook_annihilator(N, W, U), (N, W, U)
         assert ucs[-1].is_full() and len(ucs) == nilpotency_class(N)
         assert ucs[min(1, len(ucs) - 1)] == second_center(N)
 
