@@ -15,9 +15,10 @@ reads ad(v) from that table, and a bracket of two vectors is ad(v) applied
 to the other (`_apply`) in `bracket`, `product_subspace` and
 `_pair_brackets` (every pair a < b of one list); `check_jacobi` and the
 Heisenberg form in `classify` read the cached columns directly. Vectors are
-the sparse dicts of `linalg`, and every map (base change, its inverse,
-projection, adjoint, homomorphism) is a `Matrix` read and built as sparse
-columns, so none is converted through dense lists.
+the canonical sparse dicts of `linalg`, and an outside one (to `bracket` or
+`adjoint_matrix`) is checked by `linalg._vector`. Every map (base change,
+its inverse, projection, adjoint, homomorphism) is a `Matrix` read and built
+as sparse columns, so none is converted through dense lists.
 There is no numpy here.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from .errors import NotALieAlgebra, NotAnIdeal
 from .fields import Field
-from .linalg import Matrix, Subspace, _apply, _dense, _reduced, _sparse
+from .linalg import Matrix, Subspace, _apply, _dense, _reduced, _rref_rows, _vector
 
 BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero, canonical
 
@@ -143,11 +144,9 @@ def new_algebra(field: Field, dim: int, brackets, name: str | None = None) -> Li
 
 def bracket(L: LieAlgebra, x, y):
     """[x, y] for coordinate vectors x, y of length dim: ad(x) applied to y."""
-    if len(x) != L.dim or len(y) != L.dim:
-        raise ValueError("vector length must equal the algebra dimension")
-    f = L.field
-    return _dense(_apply(_ad(L, _sparse(x)), _sparse(y), f.characteristic),
-                  L.dim, f.zero)
+    f, n = L.field, L.dim
+    return _dense(_apply(_ad(L, _vector(f, n, x)), _vector(f, n, y),
+                         f.characteristic), n, f.zero)
 
 
 def _ad_table(n: int, brackets: BracketTable, p: int) -> list[dict]:
@@ -274,7 +273,7 @@ def product_subspace(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
         p = L.field.characteristic
         vectors = [w for x in u.rows() if (ad := _ad(L, x))
                    for y in v.rows() if (w := _apply(ad, y, p))]
-    return Subspace.from_vectors(L.field, L.dim, vectors)
+    return Subspace(L.field, L.dim, *_rref_rows(L.field, vectors))
 
 
 def _brackets_with_full(L: LieAlgebra, v: Subspace):
@@ -288,8 +287,9 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"
 
     The complement is spanned by the unit vectors e_c, c not a pivot of I,
     so the projection of a vector is its remainder modulo I's RREF rows,
-    re-indexed by those columns. Jacobi holds by construction but is
-    re-checked on the quotient table.
+    re-indexed by those columns. I is checked to be an ideal (NotAnIdeal
+    otherwise), so the quotient is Lie by construction and Jacobi is not
+    checked again.
     """
     L.field.check_same(ideal.field)
     if ideal.ambient_dim != L.dim:
@@ -306,7 +306,7 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"
     proj = Matrix._from_columns(f, len(index), L.dim,
                                 {j: col for j, col in cols.items() if col})
     name = f"{L.name}/I" if L.name else None
-    Q = LieAlgebra(f, len(index), table, name)  # re-validates Jacobi
+    Q = LieAlgebra._make(f, len(index), table, name)
     return Q, Homomorphism(L, Q, proj)
 
 
@@ -327,9 +327,8 @@ def change_basis(L: LieAlgebra, P: Matrix) -> LieAlgebra:
 
 def adjoint_matrix(L: LieAlgebra, x) -> Matrix:
     """ad(x): column j holds [x, e_j]."""
-    if len(x) != L.dim:
-        raise ValueError("vector length must equal the algebra dimension")
-    return Matrix._from_columns(L.field, L.dim, L.dim, _ad(L, _sparse(x)))
+    return Matrix._from_columns(L.field, L.dim, L.dim,
+                                _ad(L, _vector(L.field, L.dim, x)))
 
 
 class Homomorphism:

@@ -1,20 +1,22 @@
 """Exact linear algebra over a field: echelon forms, kernels, subspace lattice.
 
 One module owns the sparse vector format: a vector is a {index: nonzero}
-dict, 0-based, whose scalars (see `fields`) are combined with Python's
-operators and brought back to canonical form once per entry (`_reduced`,
-`_apply`, `_sub_scaled`): reduced mod p over GF(p), and over Q made an int
-when integral, so that integral work stays on ints. Every elimination runs
-through one sparse Gauss-Jordan kernel, `_rref_rows`, over such rows; it
-takes dense lists or dicts, keeps its rows fully reduced after every input
-row, so one pass reduces each new row, and returns the fully reduced
-row-echelon form, which is canonical. It may start from a Subspace's rows,
-so a sum of subspaces reduces only the rows it adds. A Subspace keeps only
-that form, the kernel's sparse rows: their equality is subspace equality
-(there are no tolerances anywhere), and reduction, containment and
-complements visit only nonzero entries. A Matrix keeps only its sparse
-columns, so products, inverses and kernels never visit a zero. The dense
-`Subspace.basis` and `Matrix.data` are built when read.
+dict, 0-based, with canonical scalars (see `fields`): reduced mod p over
+GF(p), and over Q an int when integral, so integral work stays on ints.
+Inside the package every vector is such a dict; Python's operators combine
+the scalars, and `_reduced`, `_apply` and `_sub_scaled` bring each entry
+back to canonical form. An outside vector, a dense list of length n or a
+dict with int indices in range(n), is checked and made canonical in one
+place, `_vector`, at the public edge. Every elimination runs through one
+sparse Gauss-Jordan kernel, `_rref_rows`, over canonical rows; it keeps its
+rows fully reduced after every input row, so one pass reduces each new row,
+and returns the fully reduced row-echelon form, which is canonical. It may
+start from a Subspace's rows, so a sum of subspaces reduces only the rows it
+adds. A Subspace keeps only that form: equal rows are equal subspaces (no
+tolerances anywhere), and reduction, containment and complements visit only
+nonzero entries. A Matrix keeps only its sparse columns, so products,
+inverses and kernels never visit a zero; `Subspace.basis` and `Matrix.data`
+are built dense when read.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .fields import Field, canonical
 
 
 def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
-    """Reduced row echelon form of `rows`, dense lists or {col: x} dicts,
-    together with the rows of `start`, if given.
+    """Reduced row echelon form of `rows`, canonical sparse {col: x} dicts
+    (see the module docstring), together with the rows of `start`, if given.
 
     Returns (sparse_rows, pivot_cols) sorted by pivot. Zero rows are dropped;
     pivot entries are 1 and pivot columns are zero elsewhere (fully reduced,
@@ -35,10 +37,8 @@ def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
     scaled to a leading 1 (a lead of -1, that is p - 1, with p = 0 over Q,
     is negated, not divided by); its pivot column is then cleared from the
     tails that hold it, a scan skipped when no tail has ever held that
-    column. Only nonzero entries are visited.
-    Python's operators act on the scalars directly, and each row read,
-    scaled or reduced is brought back to canonical form here (see `fields`):
-    residues in [0, p) over GF(p), ints for integral values over Q.
+    column. Only nonzero entries are visited. Each input row is copied,
+    never changed (callers pass the cached ad columns), and not checked.
 
     A `start` Subspace is already canonical, so its rows become the first
     tails as they are, copied (`start` is never changed), and their columns
@@ -54,7 +54,7 @@ def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
             tails[pc] = tail = {c: x for c, x in r.items() if c != pc}
             seen.update(tail)
     for row in rows:
-        r = _reduced(row if isinstance(row, dict) else dict(enumerate(row)), p)
+        r = dict(row)
         for pc in [c for c in r if c in tails]:
             _sub_scaled(r, r.pop(pc), tails[pc], p)
         if not r:
@@ -97,9 +97,21 @@ def _dense(row: dict, n: int, zero) -> list:
     return out
 
 
-def _sparse(x) -> dict:
-    """A dense vector as {index: nonzero}, 0-based."""
-    return {i: c for i, c in enumerate(x) if c}
+def _vector(field: Field, n: int, v) -> dict:
+    """An outside vector of F^n (a dense list of length n or a dict with int
+    indices in range(n)) as a canonical sparse dict, each scalar through
+    `field.coerce`; ValueError for another length or index."""
+    if isinstance(v, dict):
+        for i in v:
+            if type(i) is not int or not 0 <= i < n:
+                raise ValueError(f"vector index {i!r} is no int in range({n})")
+        items = v.items()
+    elif len(v) != n:
+        raise ValueError(f"vector of length {len(v)} given for F^{n}")
+    else:
+        items = enumerate(v)
+    coerce = field.coerce
+    return {i: c for i, x in items if (c := coerce(x))}
 
 
 def _reduced(v: dict, p: int) -> dict:
@@ -143,43 +155,34 @@ def _null_vectors(field: Field, rows, pivots, cols) -> list[dict]:
 
 
 def null_space(field: Field, n: int, rows) -> "Subspace":
-    """{x in F^n : r . x = 0 for every row r}; rows are dense lists or
-    sparse {col: x} dicts."""
-    return Subspace.from_vectors(
-        field, n, _null_vectors(field, *_rref_rows(field, rows), range(n)))
+    """{x in F^n : r . x = 0 for every row r}; rows are canonical sparse
+    {col: x} dicts."""
+    return Subspace(field, n, *_rref_rows(
+        field, _null_vectors(field, *_rref_rows(field, rows), range(n))))
 
 
 class Matrix:
     """Matrix over one field, kept as sparse columns {j: {i: nonzero}}.
 
     Zero columns are left out, so equal matrices have equal columns. The
-    constructor takes dense rows, reduces entries over GF(p) mod p and
-    coerces them into canonical form over Q (see `fields`);
-    `data` and `col` build dense lists when read, and changing them changes
-    nothing.
+    constructor takes dense rows of length ncols (by default the first
+    row's), each made canonical by `_vector`; `data` and `col` build dense
+    lists when read, and changing them changes nothing.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_cols")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
-        rows = [list(r) for r in rows]
-        if rows:
-            if ncols is None:
-                ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError(f"every row must have {ncols} entries")
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        rows = list(rows)
+        if ncols is None:
+            if not rows:
+                raise ValueError("empty matrix needs an explicit column count")
+            ncols = len(rows[0])
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self._cols = cols = {}
-        p = field.characteristic
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                # a multiple of p is zero
-                if x and (x := x % p if p else field.coerce(x)):
-                    cols.setdefault(j, {})[i] = x
+        self._cols = _transpose({i: _vector(field, ncols, r)
+                                 for i, r in enumerate(rows)})
 
     @classmethod
     def _from_columns(cls, field, nrows, ncols, cols) -> "Matrix":
@@ -217,11 +220,9 @@ class Matrix:
 
     def matvec(self, x):
         """m @ x for a column vector x (length ncols); skips zero entries of x."""
-        if len(x) != self.ncols:
-            raise ValueError("vector length mismatch")
         f = self.field
-        return _dense(_apply(self._cols, _sparse(x), f.characteristic),
-                      self.nrows, f.zero)
+        return _dense(_apply(self._cols, _vector(f, self.ncols, x),
+                             f.characteristic), self.nrows, f.zero)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self.field.check_same(other.field)
@@ -286,8 +287,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
-        """Span of `vectors`, dense lists or sparse {col: x} dicts."""
-        return cls(field, ambient_dim, *_rref_rows(field, vectors))
+        """Span of `vectors`, outside vectors of F^ambient_dim (dense lists
+        or {col: x} dicts), each checked and made canonical by `_vector`."""
+        return cls(field, ambient_dim, *_rref_rows(
+            field, [_vector(field, ambient_dim, v) for v in vectors]))
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
@@ -316,18 +319,13 @@ class Subspace:
         """The RREF rows as sparse {col: nonzero} dicts; not to be mutated."""
         return self._rows
 
-    def _reduce(self, vector):
-        """(coordinates, remainder) of `vector`, a dense list or a sparse
-        {col: x} dict, against the RREF rows; the vector is read in
-        canonical form. The rows vanish on each other's pivots, so
-        coordinate i is the entry at pivot i; the remainder is a sparse dict
-        on the non-pivot columns."""
-        if not isinstance(vector, dict):
-            if len(vector) != self.ambient_dim:
-                raise ValueError("ambient dimension mismatch")
-            vector = dict(enumerate(vector))
+    def _reduce(self, vector: dict):
+        """(coordinates, remainder) of a canonical sparse vector against the
+        RREF rows; the vector is copied, never changed, and not checked. The
+        rows vanish on each other's pivots, so coordinate i is the entry at
+        pivot i; the remainder is a sparse dict on the non-pivot columns."""
         zero, p = self.field.zero, self.field.characteristic
-        rest = _reduced(vector, p)
+        rest = dict(vector)
         coords = [rest.get(pc, zero) for pc in self.pivots]
         for c, row in zip(coords, self._rows):
             if c:
@@ -335,14 +333,14 @@ class Subspace:
         return coords, rest
 
     def contains(self, vector) -> bool:
-        return not self._reduce(vector)[1]
+        return not self._reduce(_vector(self.field, self.ambient_dim, vector))[1]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(not self._reduce(r)[1] for r in other._rows)
 
     def coordinates(self, vector):
         """Coefficients of `vector` in the RREF basis; None if not contained."""
-        coords, rest = self._reduce(vector)
+        coords, rest = self._reduce(_vector(self.field, self.ambient_dim, vector))
         return None if rest else coords
 
     def equation_rows(self) -> list[dict]:

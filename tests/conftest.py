@@ -1,10 +1,13 @@
-"""Shared test helpers: seeded random scalars, vectors and base changes,
-dense textbook brackets, products, Gauss-Jordan and annihilators as oracles,
-and algebra documents of a given bracket count."""
+"""Shared test helpers: seeded random scalars, vectors and base changes, a
+canonical-row predicate, the golden corpus, dense textbook brackets,
+products, Gauss-Jordan and annihilators as oracles, and algebra documents
+of a given bracket count."""
 
 from fractions import Fraction
 from itertools import combinations, islice
 
+from schurdefect import catalog
+from schurdefect.algebra import direct_sum
 from schurdefect.fields import QQ, PrimeField
 from schurdefect.linalg import Matrix
 
@@ -74,6 +77,33 @@ def central_document(count, width=1):
                  "rhs": {str(m + t): "1" for t in range(1, min(width, count - a * width) + 1)}}
                 for a, (i, j) in enumerate(pairs)]
     return {"dim": m + width, "field": {"kind": "prime", "p": 3}, "brackets": brackets}
+
+
+def canonical_row(field, row):
+    """Whether `row` is a canonical sparse vector: int keys and no zeros,
+    residues in 1..p-1 over GF(p), and over Q an int or a Fraction with
+    denominator > 1."""
+    p = field.characteristic
+    for k, x in row.items():
+        if type(k) is not int:
+            return False
+        if p:
+            if not (type(x) is int and 0 < x < p):
+                return False
+        elif not (type(x) is int and x or type(x) is Fraction and x.denominator > 1):
+            return False
+    return True
+
+
+def golden_corpus(field):
+    """(label, algebra): every catalog entry over `field` at its default
+    parameter, and H(m) + A(k) for m <= 3, k <= 2."""
+    for e in catalog.list_all(field):
+        yield e.key, catalog.get(e.key, field, catalog.default_param(e, field))
+    for m in range(1, 4):
+        for k in range(3):
+            yield f"H({m})+A({k})", direct_sum(catalog.heisenberg(field, m),
+                                               catalog.abelian(field, k))
 
 
 def textbook_bracket(L, x, y):

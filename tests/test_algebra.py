@@ -11,6 +11,7 @@ from conftest import (
     textbook_bracket,
     textbook_matvec,
 )
+import schurdefect.algebra as algebra
 from schurdefect import catalog
 from schurdefect.algebra import (
     Homomorphism,
@@ -27,8 +28,13 @@ from schurdefect.algebra import (
 )
 from schurdefect.errors import NotALieAlgebra, NotAnIdeal
 from schurdefect.fields import GF, QQ
-from schurdefect.invariants import center, derived_subalgebra, report
-from schurdefect.linalg import Subspace
+from schurdefect.invariants import (
+    center,
+    derived_subalgebra,
+    report,
+    upper_central_series,
+)
+from schurdefect.linalg import Matrix, Subspace
 from schurdefect.serialize import dumps, loads
 
 
@@ -274,6 +280,45 @@ def test_quotient_rejects_non_ideal():
     not_ideal = Subspace.from_vectors(QQ, 4, [basis_vec(QQ, 4, 1)])
     with pytest.raises(NotAnIdeal):
         quotient(L, not_ideal)
+
+
+def test_quotient_skips_the_jacobi_check(monkeypatch):
+    # the ideal check makes the quotient Lie by construction, so quotient
+    # never runs check_jacobi, and every quotient still passes it
+    rng = random.Random(47)
+    cases = []
+    for field in (QQ, GF(3), GF(5)):
+        for L in (catalog.get("L5_7", field), catalog.get("L6_14", field),
+                  direct_sum(catalog.get("L5_6", field), catalog.heisenberg(field, 1))):
+            M = change_basis(L, random_invertible(field, L.dim, rng))
+            for A in (L, M):
+                cases += [(A, I) for I in (center(A), derived_subalgebra(A),
+                                           upper_central_series(A)[1])]
+    L = catalog.get("L4_3", QQ)
+    not_ideal = Subspace.from_vectors(QQ, 4, [basis_vec(QQ, 4, 1)])
+    calls = []
+    monkeypatch.setattr(algebra, "check_jacobi", lambda L: calls.append(L) or [])
+    quotients = [quotient(A, I)[0] for A, I in cases]
+    with pytest.raises(NotAnIdeal):
+        quotient(L, not_ideal)
+    assert calls == []
+    monkeypatch.undo()
+    assert [Q.dim for Q in quotients] == [A.dim - I.dim for A, I in cases]
+    assert all(check_jacobi(Q) == [] for Q in quotients)
+
+
+def test_outside_vectors_of_the_wrong_length_raise():
+    L = catalog.get("L4_3", QQ)
+    x = basis_vec(QQ, 4, 1)
+    phi = Homomorphism(L, L, Matrix.identity(QQ, 4))
+    for short in (x[:3], x + [0], {4: 1}):
+        for call in (lambda: bracket(L, short, x), lambda: bracket(L, x, short),
+                     lambda: adjoint_matrix(L, short), lambda: phi.apply(short)):
+            with pytest.raises(ValueError):
+                call()
+    with pytest.raises(TypeError):
+        bracket(L, x, [0.5, 0, 0, 0])
+    assert phi.apply({0: 1}) == x and bracket(L, {0: 1}, [0, 1, 0, 0]) == [0, 0, 1, 0]
 
 
 def test_quotient_projection_commutes_with_bracket():

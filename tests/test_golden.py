@@ -19,9 +19,8 @@ corpus and its base change.
 import hashlib
 import random
 
-from conftest import fields_for_tests, random_invertible, random_vector
-from schurdefect import catalog
-from schurdefect.algebra import adjoint_matrix, change_basis, direct_sum, quotient
+from conftest import fields_for_tests, golden_corpus, random_invertible, random_vector
+from schurdefect.algebra import adjoint_matrix, change_basis, quotient
 from schurdefect.classify import classify_t012
 from schurdefect.invariants import (
     center,
@@ -43,20 +42,11 @@ def _matrix(m):
     return repr((m.nrows, m.ncols, m.data))
 
 
-def _corpus(field):
-    for e in catalog.list_all(field):
-        yield e.key, catalog.get(e.key, field, catalog.default_param(e, field))
-    for m in range(1, 4):
-        for k in range(3):
-            yield f"H({m})+A({k})", direct_sum(catalog.heisenberg(field, m),
-                                               catalog.abelian(field, k))
-
-
 def _rendering():
     rng = random.Random(2022)
     lines = []
     for field in fields_for_tests():
-        for label, base in _corpus(field):
+        for label, base in golden_corpus(field):
             n = base.dim
             M = change_basis(base, random_invertible(field, n, rng))
             res = classify_t012(M)
@@ -82,7 +72,7 @@ def _series_rendering():
     rng = random.Random(2022)
     lines = []
     for field in fields_for_tests():
-        for label, base in _corpus(field):
+        for label, base in golden_corpus(field):
             M = change_basis(base, random_invertible(field, base.dim, rng))
             for name, L in (("base", base), ("moved", M)):
                 spaces = (lower_central_series(L) + upper_central_series(L)

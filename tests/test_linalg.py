@@ -4,20 +4,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schurdefect.algebra as algebra
+import schurdefect.invariants as invariants
+import schurdefect.linalg as linalg
 from conftest import (
+    canonical_row,
     fields_for_tests,
+    golden_corpus,
     random_invertible,
     random_scalar,
     random_vector,
     textbook_matvec,
     textbook_rref,
 )
+from schurdefect.algebra import _ad_table, _ads, change_basis
+from schurdefect.classify import classify_t012
 from schurdefect.errors import NotContained, SingularMatrix
 from schurdefect.fields import GF, QQ
+from schurdefect.invariants import report, second_center
 from schurdefect.linalg import (
     Matrix,
     Subspace,
     _rref_rows,
+    _vector,
     complement,
     kernel,
     preimage,
@@ -159,8 +168,15 @@ def test_inverse():
         Matrix.zeros(QQ, 2, 2).inverse()
 
 
+def _rows(field, ncols, rows):
+    """Outside rows, dense lists or dicts, made canonical by the edge helper:
+    the only rows the kernel takes."""
+    return [_vector(field, ncols, r) for r in rows]
+
+
 def _sparse_rref_dense(field, rows, ncols):
-    reduced, pivots = _rref_rows(field, rows)
+    reduced, pivots = _rref_rows(field, _rows(field, ncols, rows))
+    assert all(canonical_row(field, r) for r in reduced)
     return [[r.get(c, field.zero) for c in range(ncols)] for r in reduced], pivots
 
 
@@ -179,14 +195,15 @@ def test_sparse_rref_matches_textbook_gauss_jordan():
                 assert _sparse_rref_dense(field, data, ncols) == want
                 as_dicts = [{c: x for c, x in enumerate(r) if x} for r in data]
                 assert _sparse_rref_dense(field, as_dicts, ncols) == want
-        assert _rref_rows(field, [[z] * 6 for _ in range(4)]) == ([], [])
+        assert _rref_rows(field, _rows(field, 6, [[z] * 6 for _ in range(4)])) == ([], [])
         assert _rref_rows(field, [{}, {}]) == ([], [])
 
 
 @st.composite
 def _sparse_rows(draw):
     """(field, ncols, rows): a few sparse {col: nonzero} rows, the rational
-    scalars Fraction-typed and -1 among them."""
+    scalars Fraction-typed (integral ones too) and -1 among them, so the
+    rows must pass the edge helper before the kernel takes them."""
     field = draw(st.sampled_from(fields_for_tests()))
     ncols = draw(st.integers(1, 8))
     if field.characteristic:
@@ -214,11 +231,12 @@ def test_rref_rows_in_any_order_match_textbook(case, rnd):
 def test_rref_rows_clears_a_new_pivot_from_earlier_rows():
     # the second row's pivot, column 1, sits in the first row; its lead -1
     # is negated, and the rows stay on ints
-    rows, pivots = _rref_rows(QQ, [[1, 2, 0], [0, -1, 3]])
+    rows, pivots = _rref_rows(QQ, _rows(QQ, 3, [[1, 2, 0], [0, -1, 3]]))
     assert (rows, pivots) == ([{0: 1, 2: 6}, {1: 1, 2: -3}], [0, 1])
     assert all(type(x) is int for r in rows for x in r.values())
     # the same over GF(3), where the lead is the residue 2
-    assert _rref_rows(GF(3), [[1, 2, 0], [0, 2, 1]]) == ([{0: 1, 2: 2}, {1: 1, 2: 2}], [0, 1])
+    assert _rref_rows(GF(3), _rows(GF(3), 3, [[1, 2, 0], [0, 2, 1]])) == \
+        ([{0: 1, 2: 2}, {1: 1, 2: 2}], [0, 1])
 
 
 def test_rref_rows_negates_a_lead_of_p_minus_1(monkeypatch):
@@ -236,7 +254,8 @@ def test_rref_rows_negates_a_lead_of_p_minus_1(monkeypatch):
 
 def test_rref_rows_new_pivot_in_no_earlier_row():
     # no kept row has ever held column 2 or column 0, so nothing is cleared
-    rows, pivots = _rref_rows(QQ, [[0, 1, 0, 5], [0, 0, -2, 1], [F(3), 0, 0, 0]])
+    rows, pivots = _rref_rows(
+        QQ, _rows(QQ, 4, [[0, 1, 0, 5], [0, 0, -2, 1], [F(3), 0, 0, 0]]))
     assert (rows, pivots) == ([{0: 1}, {1: 1, 3: 5}, {2: 1, 3: Fraction(-1, 2)}], [0, 1, 2])
 
 
@@ -253,7 +272,8 @@ def test_rref_rows_from_a_start_basis_match_textbook(case, split):
     dense = [[r.get(c, field.zero) for c in range(ncols)]
              for r in start.rows() + new]
     want = textbook_rref(field, dense, ncols)
-    reduced, pivots = _rref_rows(field, new, start)
+    reduced, pivots = _rref_rows(field, _rows(field, ncols, new), start)
+    assert all(canonical_row(field, r) for r in reduced)
     assert ([[r.get(c, field.zero) for c in range(ncols)] for r in reduced],
             pivots) == want
     assert (start.rows(), start.pivots) == before
@@ -266,11 +286,46 @@ def test_rref_rows_from_a_start_basis_clears_a_new_pivot_from_its_rows():
     # cleared while the start subspace keeps its own row
     for field, lead in ((QQ, -1), (GF(2), 1), (GF(3), 2), (GF(5), 4)):
         start = Subspace.from_vectors(field, 3, [[1, 0, 1]])
-        rows, pivots = _rref_rows(field, [[0, 0, lead]], start)
+        rows, pivots = _rref_rows(field, _rows(field, 3, [[0, 0, lead]]), start)
         assert (rows, pivots) == ([{0: 1}, {2: 1}], [0, 2])
         assert start.rows() == [{0: 1, 2: 1}]
         new = Subspace.from_vectors(field, 3, [[0, 0, lead]])
         assert subspace_sum(start, new) == Subspace(field, 3, rows, pivots)
+
+
+def test_kernel_takes_canonical_rows_and_changes_none(monkeypatch):
+    # the kernel trusts its input: every row and start row that report,
+    # classify_t012, second_center and change_basis hand it over the golden
+    # corpus is canonical, it changes none of them, and the cached ad
+    # columns, fed to it as they are, stay equal to a fresh table
+    real = linalg._rref_rows
+    calls = []
+
+    def spy(field, rows, start=None):
+        rows = list(rows)
+        given = rows + (start.rows() if start is not None else [])
+        assert all(canonical_row(field, r) for r in given)
+        before = [dict(r) for r in given]
+        out = real(field, rows, start)
+        assert given == before
+        calls.append(len(given))
+        return out
+
+    for module in (linalg, algebra, invariants):
+        monkeypatch.setattr(module, "_rref_rows", spy)
+    rng = random.Random(2022)
+    algebras = []
+    for field in fields_for_tests():
+        for _, base in golden_corpus(field):
+            moved = change_basis(base, random_invertible(field, base.dim, rng))
+            for L in (base, moved):
+                report(L)
+                classify_t012(L)
+                second_center(L)
+                algebras.append(L)
+    assert len(calls) > 1000
+    for L in algebras:
+        assert _ads(L) == _ad_table(L.dim, L.brackets, L.field.characteristic)
 
 
 def test_equations_roundtrip():
@@ -430,6 +485,37 @@ def test_subspace_reads_unreduced_vectors():
     assert S.coordinates([6, 4]) == [1]
     coords = Subspace.from_vectors(QQ, 2, [[1, 0]]).coordinates([Fraction(4, 2), 0])
     assert coords == [2] and type(coords[0]) is int
+
+
+def test_outside_vectors_are_checked_at_the_edge():
+    # an index outside range(n), or a dense vector of another length, raises
+    # ValueError; a value that is no scalar of the field raises TypeError
+    for field in (QQ, GF(3)):
+        for bad in ([{5: 1}], [[1, 0, 0]], [[1]], [{-1: 1}], [{True: 1}], [{"0": 1}]):
+            with pytest.raises(ValueError):
+                Subspace.from_vectors(field, 2, bad)
+        S = Subspace.from_vectors(field, 2, [[1, 0]])
+        for bad in ({7: 1}, [1, 0, 0]):
+            with pytest.raises(ValueError):
+                S.contains(bad)
+            with pytest.raises(ValueError):
+                S.coordinates(bad)
+            with pytest.raises(ValueError):
+                Matrix.identity(field, 2).matvec(bad)
+        for bad in ([[0.5, 0]], [[0, "1"]], [{1: None}]):
+            with pytest.raises(TypeError):
+                Subspace.from_vectors(field, 2, bad)
+            with pytest.raises(TypeError):
+                S.contains(bad[0])
+            with pytest.raises(TypeError):
+                Matrix(field, bad, 2)
+        with pytest.raises(TypeError):
+            Subspace.from_vectors(
+                field, 2, [[Fraction(1, 2), 0]] if field.characteristic else [[1j, 0]])
+    # what passes is made canonical: {2: 4, 0: 3} is (0, 0, 1) over GF(3)
+    S = Subspace.from_vectors(GF(3), 3, [{2: 4, 0: 3}, (0, -1, 0)])
+    assert S.rows() == [{1: 1}, {2: 1}]
+    assert S == Subspace.from_vectors(GF(3), 3, [[0, 2, 1], [0, 1, 0]])
 
 
 def test_matrix_column_count_must_match_rows():
