@@ -273,7 +273,7 @@ def product_subspace(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
         p = L.field.characteristic
         vectors = [w for x in u.rows() if (ad := _ad(L, x))
                    for y in v.rows() if (w := _apply(ad, y, p))]
-    return Subspace(L.field, L.dim, *_rref_rows(L.field, vectors))
+    return Subspace(L.field, L.dim, _rref_rows(L.field, vectors))
 
 
 def _brackets_with_full(L: LieAlgebra, v: Subspace):
@@ -297,10 +297,10 @@ def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"
     if not ideal.contains_subspace(product_subspace(L, L.full_space(), ideal)):
         raise NotAnIdeal("[L, I] is not contained in I")
     f = L.field
-    pivots = set(ideal.pivots)
-    index = {c: a for a, c in enumerate(c for c in range(L.dim) if c not in pivots)}
+    off = (c for c in range(L.dim) if c not in ideal._rows)
+    index = {c: a for a, c in enumerate(off)}
     # column j of the projection: the remainder of e_j, re-indexed
-    cols = {j: {index[c]: x for c, x in sorted(ideal._reduce({j: f.one})[1].items())}
+    cols = {j: {index[c]: x for c, x in sorted(ideal._remainder({j: f.one}).items())}
             for j in range(L.dim)}
     table = _bracket_table(L, [{c: f.one} for c in index], cols)
     proj = Matrix._from_columns(f, len(index), L.dim,

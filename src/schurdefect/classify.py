@@ -46,7 +46,6 @@ from .invariants import (
 from .linalg import (
     Matrix,
     _apply,
-    _reduced,
     _sub_scaled,
     _transpose,
     complement,
@@ -125,11 +124,11 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     The bracket induces an alternating form B on a complement of the center,
     valued in the derived line: B(e_a, e_b) is the entry of the cached column
     [e_a, e_b] at the line's pivot, read once into a Gram table after checking
-    that every column lies on the line. Alternating Gram-Schmidt on the
-    complement's sparse rows puts B in symplectic normal form, giving the
-    Heisenberg pairs. B is nondegenerate off the center, so the first
-    remaining vector always has a partner. The witness is verified
-    bracket-by-bracket before being returned.
+    that every column lies on the line (its remainder modulo L^2 is zero).
+    Alternating Gram-Schmidt on the complement's sparse rows puts B in
+    symplectic normal form, giving the Heisenberg pairs. B is nondegenerate
+    off the center, so the first remaining vector always has a partner. The
+    witness is verified bracket-by-bracket before being returned.
     """
     f = L.field
     p = f.characteristic
@@ -142,10 +141,9 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     w, wpiv = l2.rows()[0], l2.pivots[0]
 
     def on_line(col):
-        x = col.get(wpiv, f.zero)
-        if col != _reduced({k: x * y for k, y in w.items()}, p):
+        if l2._remainder(col):
             raise ArithmeticError("bracket escaped the derived line")
-        return x
+        return col.get(wpiv, f.zero)
 
     gram = {a: {b: on_line(col) for b, col in ad.items()}
             for a, ad in enumerate(_ads(L)) if ad}

@@ -14,13 +14,7 @@ from dataclasses import asdict
 from . import catalog, verification
 from .census import enumerate_algebras, verify_bounds
 from .classify import COUNTEREXAMPLE, classify_t012
-from .errors import (
-    BudgetExceeded,
-    CatalogError,
-    DocumentError,
-    NotALieAlgebra,
-    ParseError,
-)
+from .errors import BudgetExceeded, ParseError
 from .algebra import MAX_DIM
 from .fields import GF, QQ, Field, PrimeField
 from .invariants import moneyhun_check, report, t_invariant
@@ -43,7 +37,7 @@ def _load_algebra(args):
     if args.file is not None and args.key is not None:
         raise ParseError("give either a catalog key or --file, not both")
     if args.file is not None:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             return loads(fh.read())
     if args.key is None:
         raise ParseError("a catalog key or --file is required")
@@ -223,8 +217,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (DocumentError, ParseError, CatalogError, NotALieAlgebra,
-            BudgetExceeded, ValueError, OSError) as exc:
+    except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

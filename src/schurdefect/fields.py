@@ -86,7 +86,10 @@ class RationalField(Field):
     def parse(self, text: str) -> int | Fraction:
         if not _RATIONAL_RE.fullmatch(text):
             raise ParseError(f"malformed rational scalar: {text!r}")
-        return canonical(Fraction(text))
+        try:
+            return canonical(Fraction(text))
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"rational scalar out of range: {exc}") from None
 
     @staticmethod
     def render(x) -> str:
@@ -138,7 +141,10 @@ class PrimeField(Field):
     def parse(self, text: str) -> int:
         if not _RESIDUE_RE.fullmatch(text):
             raise ParseError(f"malformed GF({self.p}) scalar: {text!r}")
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"residue out of range for GF({self.p}): {exc}") from None
         if value >= self.p:
             raise ParseError(f"residue {value} out of range for GF({self.p})")
         return value

@@ -22,7 +22,6 @@ from .linalg import (
     Subspace,
     _null_vectors,
     _rref_rows,
-    _sub_scaled,
     preimage,
     subspace_sum,
 )
@@ -66,37 +65,30 @@ def annihilator(L: LieAlgebra, W: Subspace | None = None,
     only on the columns C off W's pivots: L = W + span(e_c : c in C). The
     conditions come from u = e_b, b in C, when U is L (e_b in W gives none),
     and from U's rows, through `_ad`, otherwise. Each column [u, e_c], c in
-    C, is reduced modulo W at the pivots it holds (W's rows vanish on each
-    other's pivots), and entry k of the remainder gives one equation
-    sum_c x_c [u, e_c]_k = 0, as [x, u] = -[u, x] flips every sign alike.
-    Null vectors are taken on C only and fed to the kernel started from W.
+    C, is reduced modulo W by `W._remainder`, and entry k of the remainder
+    gives one equation sum_c x_c [u, e_c]_k = 0, as [x, u] = -[u, x] flips
+    every sign alike. The equations' echelon map gives null vectors on C
+    only, which are fed to the kernel started from W.
     """
-    f, n, p = L.field, L.dim, L.field.characteristic
+    f, n = L.field, L.dim
     W = Subspace.zero(f, n) if W is None else W
     for s in (W, U):
         if s is not None:
             f.check_same(s.field)
             if s.ambient_dim != n:
                 raise ValueError("subspace ambient dimension must equal the algebra dimension")
-    wrows = dict(zip(W.pivots, W.rows()))
-    off = [c for c in range(n) if c not in wrows]
+    pivots, remainder = W._rows, W._remainder
+    off = [c for c in range(n) if c not in pivots]
     ads = _ads(L)
     ad_us = [ads[b] for b in off] if U is None else [_ad(L, u) for u in U.rows()]
     system: dict[tuple, dict] = {}  # (u, k) -> {c: coefficient of x_c}
     for a, ad_u in enumerate(ad_us):
         for c, col in ad_u.items():
-            if c in wrows:
-                continue
-            rem = col
-            if not wrows.keys().isdisjoint(col):
-                rem = dict(col)
-                for k, x in col.items():
-                    if k in wrows:
-                        _sub_scaled(rem, x, wrows[k], p)
-            for k, x in rem.items():
-                system.setdefault((a, k), {})[c] = x
-    rows, pivots = _rref_rows(f, system.values())
-    return Subspace(f, n, *_rref_rows(f, _null_vectors(f, rows, pivots, off), W))
+            if c not in pivots:
+                for k, x in remainder(col).items():
+                    system.setdefault((a, k), {})[c] = x
+    eqs = _rref_rows(f, system.values())
+    return Subspace(f, n, _rref_rows(f, _null_vectors(f, eqs, off), W))
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -201,13 +193,10 @@ def _report(L: LieAlgebra) -> InvariantReport:
     l2 = derived_subalgebra(L)
     lcs = lower_central_series(L)
     ucs = upper_central_series(L)
-    z = ucs[0] if ucs else Subspace.zero(L.field, L.dim)
+    z = center(L)
     nilp = lcs[-1].dim == 0
     cls = len(lcs) - 1 if nilp else None
-    if ucs:
-        z2_dim = ucs[1].dim if len(ucs) > 1 else ucs[0].dim
-    else:
-        z2_dim = 0
+    z2_dim = ucs[1].dim if len(ucs) > 1 else z.dim
     if nilp:
         d, t = _d_and_t(L, z, l2)
     else:

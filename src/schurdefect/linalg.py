@@ -10,13 +10,15 @@ dict with int indices in range(n), is checked and made canonical in one
 place, `_vector`, at the public edge. Every elimination runs through one
 sparse Gauss-Jordan kernel, `_rref_rows`, over canonical rows; it keeps its
 rows fully reduced after every input row, so one pass reduces each new row,
-and returns the fully reduced row-echelon form, which is canonical. It may
-start from a Subspace's rows, so a sum of subspaces reduces only the rows it
-adds. A Subspace keeps only that form: equal rows are equal subspaces (no
-tolerances anywhere), and reduction, containment and complements visit only
-nonzero entries. A Matrix keeps only its sparse columns, so products,
-inverses and kernels never visit a zero; `Subspace.basis` and `Matrix.data`
-are built dense when read.
+and returns the fully reduced row-echelon form, which is canonical, as one
+{pivot column: row} map sorted by pivot. It may start from a Subspace's
+rows, so a sum of subspaces reduces only the rows it adds. A Subspace keeps
+only that map: equal maps are equal subspaces (no tolerances anywhere).
+Reduction modulo a subspace is one sparse remainder, `Subspace._remainder`,
+which visits only the pivots a vector holds; containment, coordinates,
+complements and null vectors read the map's keys. A Matrix keeps only its
+sparse columns, so products, inverses and kernels never visit a zero;
+`Subspace.basis` and `Matrix.data` are built dense when read.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
     """Reduced row echelon form of `rows`, canonical sparse {col: x} dicts
     (see the module docstring), together with the rows of `start`, if given.
 
-    Returns (sparse_rows, pivot_cols) sorted by pivot. Zero rows are dropped;
-    pivot entries are 1 and pivot columns are zero elsewhere (fully reduced,
+    Returns the echelon form as one {pivot column: row} map, sorted by
+    pivot. Zero rows are dropped; each row is 1 at its key, its smallest
+    column, and every pivot column is zero in the other rows (fully reduced,
     canonical). Rows are kept as tails, a pivot's row without its pivot
     entry, and after every input row the tails hold no pivot column. A new
     row is therefore reduced in one pass over the pivot columns it holds, and
@@ -40,17 +43,17 @@ def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
     column. Only nonzero entries are visited. Each input row is copied,
     never changed (callers pass the cached ad columns), and not checked.
 
-    A `start` Subspace is already canonical, so its rows become the first
-    tails as they are, copied (`start` is never changed), and their columns
-    seed the seen set: only `rows` are reduced, and the result is the
-    canonical form of the span of both.
+    A `start` Subspace keeps the same map, already canonical, so its rows
+    become the first tails as they are, copied (`start` is never changed),
+    and their columns seed the seen set: only `rows` are reduced, and the
+    result is the canonical form of the span of both.
     """
     p = field.characteristic
     one = field.one
     tails: dict[int, dict] = {}  # pivot column -> the row right of its pivot
     seen: set = set()  # every column any tail has held
     if start is not None:
-        for r, pc in zip(start.rows(), start.pivots):
+        for pc, r in start._rows.items():
             tails[pc] = tail = {c: x for c, x in r.items() if c != pc}
             seen.update(tail)
     for row in rows:
@@ -70,8 +73,7 @@ def _rref_rows(field: Field, rows, start: "Subspace | None" = None):
                     _sub_scaled(tail, c, r, p)
         tails[pc] = r
         seen.update(r)
-    pivots = sorted(tails)
-    return [{pc: one, **tails[pc]} for pc in pivots], pivots
+    return {pc: {pc: one, **tails[pc]} for pc in sorted(tails)}
 
 
 def _sub_scaled(r: dict, c, src: dict, p: int) -> None:
@@ -140,14 +142,14 @@ def _transpose(vecs: dict) -> dict:
     return out
 
 
-def _null_vectors(field: Field, rows, pivots, cols) -> list[dict]:
+def _null_vectors(field: Field, rows: dict, cols) -> list[dict]:
     """{x : r . x = 0 for each RREF row r} among the vectors on the columns
-    `cols`, which hold every column of the rows, spanned in closed form: one
-    vector e_c - sum_i rows[i][c] e_{pivots[i]} per non-pivot column c."""
+    `cols`, which hold every column of the rows ({pivot: row}, as
+    `_rref_rows` returns), spanned in closed form: one vector
+    e_c - sum_pc rows[pc][c] e_pc per non-pivot column c."""
     one, neg = field.one, field.neg
-    pivset = set(pivots)
-    vecs = {c: {c: one} for c in cols if c not in pivset}
-    for r, pc in zip(rows, pivots):
+    vecs = {c: {c: one} for c in cols if c not in rows}
+    for pc, r in rows.items():
         for c, x in r.items():
             if c != pc:
                 vecs[c][pc] = neg(x)
@@ -157,8 +159,8 @@ def _null_vectors(field: Field, rows, pivots, cols) -> list[dict]:
 def null_space(field: Field, n: int, rows) -> "Subspace":
     """{x in F^n : r . x = 0 for every row r}; rows are canonical sparse
     {col: x} dicts."""
-    return Subspace(field, n, *_rref_rows(
-        field, _null_vectors(field, *_rref_rows(field, rows), range(n))))
+    return Subspace(field, n, _rref_rows(
+        field, _null_vectors(field, _rref_rows(field, rows), range(n))))
 
 
 class Matrix:
@@ -239,12 +241,12 @@ class Matrix:
         n = self.nrows
         f = self.field
         rows = _transpose(self._cols)
-        reduced, pivots = _rref_rows(
+        reduced = _rref_rows(
             f, [{**rows.get(i, {}), n + i: f.one} for i in range(n)])
-        if pivots[:n] != list(range(n)):
+        if any(i not in reduced for i in range(n)):
             raise SingularMatrix("matrix is singular")
         cols = _transpose({i: {c - n: x for c, x in r.items() if c >= n}
-                           for i, r in enumerate(reduced)})
+                           for i, r in reduced.items()})
         return Matrix._from_columns(f, n, n, cols)
 
     def __eq__(self, other):
@@ -264,90 +266,97 @@ class Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form (same shape, zero rows at the bottom) + pivots."""
-    rows, pivots = _rref_rows(m.field, _transpose(m.columns()).values())
-    cols = _transpose(dict(enumerate(rows)))
-    return Matrix._from_columns(m.field, m.nrows, m.ncols, cols), tuple(pivots)
+    rows = _rref_rows(m.field, _transpose(m.columns()).values())
+    cols = _transpose(dict(enumerate(rows.values())))
+    return Matrix._from_columns(m.field, m.nrows, m.ncols, cols), tuple(rows)
 
 
 class Subspace:
     """Subspace of F^n, canonically represented by its sparse RREF rows.
 
-    `rows()` are {col: nonzero} dicts sorted by pivot, each 1 at its pivot
-    and 0 at the other pivots, so equal subspaces have equal rows. `basis`
-    builds the same rows as dense lists on each read.
+    Its only row state is the {pivot: row} map of `_rref_rows`, sorted by
+    pivot, each row 1 at its pivot and 0 at the other pivots, so equal
+    subspaces have equal maps. The constructor takes such a map unchecked;
+    `from_vectors`, `zero` and `full` are the public builders.
     """
 
-    __slots__ = ("field", "ambient_dim", "_rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "_rows")
 
-    def __init__(self, field: Field, ambient_dim: int, rows, pivots):
+    def __init__(self, field: Field, ambient_dim: int, rows: dict):
         self.field = field
         self.ambient_dim = ambient_dim
         self._rows = rows
-        self.pivots = tuple(pivots)
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
         """Span of `vectors`, outside vectors of F^ambient_dim (dense lists
         or {col: x} dicts), each checked and made canonical by `_vector`."""
-        return cls(field, ambient_dim, *_rref_rows(
+        return cls(field, ambient_dim, _rref_rows(
             field, [_vector(field, ambient_dim, v) for v in vectors]))
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
-        return cls(field, ambient_dim, [], ())
+        return cls(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field, ambient_dim) -> "Subspace":
         one = field.one
-        return cls(field, ambient_dim, [{i: one} for i in range(ambient_dim)],
-                   range(ambient_dim))
+        return cls(field, ambient_dim, {i: {i: one} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(self._rows)
+
+    @property
     def basis(self) -> list[list]:
         """The RREF rows as dense lists, built on each read."""
         n, z = self.ambient_dim, self.field.zero
-        return [_dense(r, n, z) for r in self._rows]
+        return [_dense(r, n, z) for r in self._rows.values()]
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
     def rows(self) -> list[dict]:
-        """The RREF rows as sparse {col: nonzero} dicts; not to be mutated."""
-        return self._rows
+        """The sparse RREF rows in pivot order; the dicts are not to be mutated."""
+        return list(self._rows.values())
 
-    def _reduce(self, vector: dict):
-        """(coordinates, remainder) of a canonical sparse vector against the
-        RREF rows; the vector is copied, never changed, and not checked. The
-        rows vanish on each other's pivots, so coordinate i is the entry at
-        pivot i; the remainder is a sparse dict on the non-pivot columns."""
-        zero, p = self.field.zero, self.field.characteristic
-        rest = dict(vector)
-        coords = [rest.get(pc, zero) for pc in self.pivots]
-        for c, row in zip(coords, self._rows):
-            if c:
-                _sub_scaled(rest, c, row, p)
-        return coords, rest
+    def _remainder(self, v: dict) -> dict:
+        """v modulo self, for a canonical sparse v (not checked, never
+        changed): a sparse dict on the non-pivot columns, v itself when v
+        holds no pivot. The rows vanish on each other's pivots, so v's entry
+        at a pivot is its coordinate on that pivot's row, and only the rows
+        at the pivots v holds are subtracted."""
+        rows = self._rows
+        if rows.keys().isdisjoint(v):
+            return v
+        rest, p = dict(v), self.field.characteristic
+        for pc, x in v.items():
+            if pc in rows:
+                _sub_scaled(rest, x, rows[pc], p)
+        return rest
 
     def contains(self, vector) -> bool:
-        return not self._reduce(_vector(self.field, self.ambient_dim, vector))[1]
+        return not self._remainder(_vector(self.field, self.ambient_dim, vector))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(not self._reduce(r)[1] for r in other._rows)
+        return not any(map(self._remainder, other._rows.values()))
 
     def coordinates(self, vector):
         """Coefficients of `vector` in the RREF basis; None if not contained."""
-        coords, rest = self._reduce(_vector(self.field, self.ambient_dim, vector))
-        return None if rest else coords
+        v = _vector(self.field, self.ambient_dim, vector)
+        if self._remainder(v):
+            return None
+        zero = self.field.zero
+        return [v.get(pc, zero) for pc in self._rows]
 
     def equation_rows(self) -> list[dict]:
         """Independent sparse functionals whose common zeros are self: one
         per non-pivot column c, e_c* - sum_i basis[i][c] e*_{p_i}."""
-        return _null_vectors(self.field, self._rows, self.pivots,
-                             range(self.ambient_dim))
+        return _null_vectors(self.field, self._rows, range(self.ambient_dim))
 
     def equations(self) -> Matrix:
         """Matrix E with kernel(E) = self; rows are `equation_rows()`."""
@@ -363,7 +372,7 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.field, self.ambient_dim,
-                     tuple(tuple(sorted(r.items())) for r in self._rows)))
+                     tuple(tuple(sorted(r.items())) for r in self._rows.values())))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim} over {self.field})"
@@ -377,7 +386,7 @@ def kernel(m: Matrix) -> Subspace:
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     """u + v: the kernel started from u's canonical rows, fed only v's."""
     _check_ambient(u, v)
-    return Subspace(u.field, u.ambient_dim, *_rref_rows(u.field, v.rows(), u))
+    return Subspace(u.field, u.ambient_dim, _rref_rows(u.field, v.rows(), u))
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -393,11 +402,8 @@ def complement(inner: Subspace, outer: Subspace) -> Subspace:
     _check_ambient(inner, outer)
     if not outer.contains_subspace(inner):
         raise NotContained("inner subspace is not contained in outer")
-    innerpivs = set(inner.pivots)
-    kept = [(r, pc) for r, pc in zip(outer.rows(), outer.pivots)
-            if pc not in innerpivs]
-    return Subspace(inner.field, inner.ambient_dim, [r for r, _ in kept],
-                    [pc for _, pc in kept])
+    kept = {pc: r for pc, r in outer._rows.items() if pc not in inner._rows}
+    return Subspace(inner.field, inner.ambient_dim, kept)
 
 
 def preimage(m: Matrix, w: Subspace) -> Subspace:

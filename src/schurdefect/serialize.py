@@ -4,27 +4,30 @@
      "field": {"kind": "rational"} | {"kind": "prime", "p": int},
      "brackets": [{"lhs": [i, j], "rhs": {"k": scalar-string, ...}}, ...]}
 
-Indices are 1-based with i < j required; rhs keys are decimal basis indices;
-no JSON object repeats a key; scalar strings follow the exact-field grammar
-and must be canonical (the format is bit-exact: parsing then rendering
-reproduces the input scalar).
+Indices are 1-based with i < j required; rhs keys are canonical ASCII decimal
+basis indices; no JSON object repeats a key; scalar strings follow the
+exact-field grammar and must be canonical (the format is bit-exact: parsing
+then rendering reproduces the input scalar).
 "dim" may not exceed `MAX_DIM` (512); a larger one is rejected before any
 bracket is parsed. The document holds at most `MAX_BRACKETS` (4096) nonzero
 structure constants, the rhs entries of all brackets together. A list of more
 entries is rejected before its first entry is parsed; otherwise the first rhs
 that passes the limit is rejected before its scalars are parsed, so Jacobi
-validation never runs on an over-limit table.
+validation never runs on an over-limit table. Every malformed document, one
+nested too deep or with a number of too many digits too, raises DocumentError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .algebra import MAX_BRACKETS, MAX_DIM, LieAlgebra
 from .errors import DocumentError, ParseError
 from .fields import GF, QQ, Field
 
 _TOP_KEYS = {"name", "dim", "field", "brackets"}
+_INDEX_RE = re.compile(r"0|[1-9][0-9]*")  # canonical ASCII decimal
 
 
 def algebra_to_document(L: LieAlgebra) -> dict:
@@ -90,11 +93,10 @@ def document_to_algebra(doc) -> LieAlgebra:
                                 f"exceed the limit MAX_BRACKETS = {MAX_BRACKETS}")
         cs = {}
         for key, text in rhs.items():
-            if not isinstance(key, str) or not key.isdigit() or str(int(key)) != key:
+            if not isinstance(key, str) or not _INDEX_RE.fullmatch(key):
                 raise DocumentError(f"{where}.rhs: bad basis index key {key!r}")
-            k = int(key)
-            if not (1 <= k <= dim):
-                raise DocumentError(f"{where}.rhs: basis index {k} out of range")
+            if len(key) > len(str(dim)) or not 1 <= (k := int(key)) <= dim:
+                raise DocumentError(f"{where}.rhs: basis index {key} out of range")
             if not isinstance(text, str):
                 raise DocumentError(f"{where}.rhs[{key}]: scalar must be a string")
             try:
@@ -149,6 +151,8 @@ def _unique_keys(pairs: list) -> dict:
 def loads(text: str) -> LieAlgebra:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except DocumentError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return document_to_algebra(doc)

@@ -1,10 +1,13 @@
 import json
 import random
 
+import pytest
+
 from conftest import central_document, random_invertible
 from schurdefect import catalog
 from schurdefect.algebra import MAX_BRACKETS, MAX_DIM, change_basis, direct_sum
 from schurdefect.cli import main
+from schurdefect.errors import DocumentError
 from schurdefect.fields import QQ
 from schurdefect.invariants import t_invariant
 from schurdefect.serialize import dumps, loads
@@ -203,3 +206,42 @@ def test_bracket_count_limit(capsys, tmp_path):
     assert code == 2 and out == "" and "brackets: " in err
     path.write_text(json.dumps(central_document(MAX_BRACKETS)))
     assert run(capsys, "t", "--file", str(path))[0] == 0
+
+
+def test_hostile_documents_exit_2_with_one_error_line(capsys, tmp_path):
+    # deep nesting, numbers with more digits than int() converts, bytes that
+    # are no UTF-8, an empty file and a directory: each is an input error,
+    # exit 2 and one line on stderr, never a traceback; every text case is
+    # a DocumentError from loads
+    def bracket(field, key, scalar):
+        return json.dumps({"dim": 3, "field": field,
+                           "brackets": [{"lhs": [1, 2], "rhs": {key: scalar}}]})
+
+    digits = "7" * 5000
+    texts = {
+        "arrays_1000": "[" * 1000 + "]" * 1000,
+        "arrays_100000": "[" * 100_000 + "]" * 100_000,
+        "objects_1000": '{"a": ' * 1000 + "0" + "}" * 1000,
+        "objects_100000": '{"a": ' * 100_000 + "0" + "}" * 100_000,
+        "dim_5000_digits": '{"dim": ' + digits + "}",
+        "q_scalar_5000_digits": bracket({"kind": "rational"}, "3", digits),
+        "gf3_scalar_5000_digits": bracket({"kind": "prime", "p": 3}, "3", "1" * 5000),
+        "index_5000_digits": bracket({"kind": "rational"}, "1" * 5000, "1"),
+        "index_not_ascii": bracket({"kind": "rational"}, "³", "1"),
+        "empty": "",
+    }
+    for name, text in texts.items():
+        with pytest.raises(DocumentError):
+            loads(text)
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    # a repeated key keeps its own message, unwrapped
+    with pytest.raises(DocumentError, match=r"^duplicate JSON key 'dim'$"):
+        loads('{"dim": 3, "dim": 4}')
+    (tmp_path / "not_utf8.json").write_bytes(b'{"name": "\xff\xfe"}')
+    (tmp_path / "a_directory").mkdir()
+    paths = sorted(tmp_path.iterdir())
+    assert len(paths) == len(texts) + 2
+    for path in paths:
+        code, out, err = run(capsys, "t", "--file", str(path))
+        assert code == 2 and out == "", path.name
+        assert err.startswith("error: ") and err.count("\n") == 1, path.name

@@ -174,10 +174,19 @@ def _rows(field, ncols, rows):
     return [_vector(field, ncols, r) for r in rows]
 
 
+def _check_echelon_map(field, reduced):
+    """The kernel's {pivot: row} map: keys sorted, each row canonical, 1 at
+    its key and nonzero at no smaller column."""
+    assert list(reduced) == sorted(reduced)
+    for pc, r in reduced.items():
+        assert canonical_row(field, r) and min(r) == pc and r[pc] == field.one
+
+
 def _sparse_rref_dense(field, rows, ncols):
-    reduced, pivots = _rref_rows(field, _rows(field, ncols, rows))
-    assert all(canonical_row(field, r) for r in reduced)
-    return [[r.get(c, field.zero) for c in range(ncols)] for r in reduced], pivots
+    reduced = _rref_rows(field, _rows(field, ncols, rows))
+    _check_echelon_map(field, reduced)
+    return ([[r.get(c, field.zero) for c in range(ncols)] for r in reduced.values()],
+            list(reduced))
 
 
 def test_sparse_rref_matches_textbook_gauss_jordan():
@@ -195,8 +204,8 @@ def test_sparse_rref_matches_textbook_gauss_jordan():
                 assert _sparse_rref_dense(field, data, ncols) == want
                 as_dicts = [{c: x for c, x in enumerate(r) if x} for r in data]
                 assert _sparse_rref_dense(field, as_dicts, ncols) == want
-        assert _rref_rows(field, _rows(field, 6, [[z] * 6 for _ in range(4)])) == ([], [])
-        assert _rref_rows(field, [{}, {}]) == ([], [])
+        assert _rref_rows(field, _rows(field, 6, [[z] * 6 for _ in range(4)])) == {}
+        assert _rref_rows(field, [{}, {}]) == {}
 
 
 @st.composite
@@ -231,12 +240,12 @@ def test_rref_rows_in_any_order_match_textbook(case, rnd):
 def test_rref_rows_clears_a_new_pivot_from_earlier_rows():
     # the second row's pivot, column 1, sits in the first row; its lead -1
     # is negated, and the rows stay on ints
-    rows, pivots = _rref_rows(QQ, _rows(QQ, 3, [[1, 2, 0], [0, -1, 3]]))
-    assert (rows, pivots) == ([{0: 1, 2: 6}, {1: 1, 2: -3}], [0, 1])
-    assert all(type(x) is int for r in rows for x in r.values())
+    rows = _rref_rows(QQ, _rows(QQ, 3, [[1, 2, 0], [0, -1, 3]]))
+    assert rows == {0: {0: 1, 2: 6}, 1: {1: 1, 2: -3}}
+    assert all(type(x) is int for r in rows.values() for x in r.values())
     # the same over GF(3), where the lead is the residue 2
     assert _rref_rows(GF(3), _rows(GF(3), 3, [[1, 2, 0], [0, 2, 1]])) == \
-        ([{0: 1, 2: 2}, {1: 1, 2: 2}], [0, 1])
+        {0: {0: 1, 2: 2}, 1: {1: 1, 2: 2}}
 
 
 def test_rref_rows_negates_a_lead_of_p_minus_1(monkeypatch):
@@ -254,9 +263,10 @@ def test_rref_rows_negates_a_lead_of_p_minus_1(monkeypatch):
 
 def test_rref_rows_new_pivot_in_no_earlier_row():
     # no kept row has ever held column 2 or column 0, so nothing is cleared
-    rows, pivots = _rref_rows(
+    rows = _rref_rows(
         QQ, _rows(QQ, 4, [[0, 1, 0, 5], [0, 0, -2, 1], [F(3), 0, 0, 0]]))
-    assert (rows, pivots) == ([{0: 1}, {1: 1, 3: 5}, {2: 1, 3: Fraction(-1, 2)}], [0, 1, 2])
+    assert list(rows) == [0, 1, 2]
+    assert rows == {0: {0: 1}, 1: {1: 1, 3: 5}, 2: {2: 1, 3: Fraction(-1, 2)}}
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -272,10 +282,10 @@ def test_rref_rows_from_a_start_basis_match_textbook(case, split):
     dense = [[r.get(c, field.zero) for c in range(ncols)]
              for r in start.rows() + new]
     want = textbook_rref(field, dense, ncols)
-    reduced, pivots = _rref_rows(field, _rows(field, ncols, new), start)
-    assert all(canonical_row(field, r) for r in reduced)
-    assert ([[r.get(c, field.zero) for c in range(ncols)] for r in reduced],
-            pivots) == want
+    reduced = _rref_rows(field, _rows(field, ncols, new), start)
+    _check_echelon_map(field, reduced)
+    assert ([[r.get(c, field.zero) for c in range(ncols)] for r in reduced.values()],
+            list(reduced)) == want
     assert (start.rows(), start.pivots) == before
     both = Subspace.from_vectors(field, ncols, start.rows() + new)
     assert subspace_sum(start, Subspace.from_vectors(field, ncols, new)) == both
@@ -286,11 +296,43 @@ def test_rref_rows_from_a_start_basis_clears_a_new_pivot_from_its_rows():
     # cleared while the start subspace keeps its own row
     for field, lead in ((QQ, -1), (GF(2), 1), (GF(3), 2), (GF(5), 4)):
         start = Subspace.from_vectors(field, 3, [[1, 0, 1]])
-        rows, pivots = _rref_rows(field, _rows(field, 3, [[0, 0, lead]]), start)
-        assert (rows, pivots) == ([{0: 1}, {2: 1}], [0, 2])
+        rows = _rref_rows(field, _rows(field, 3, [[0, 0, lead]]), start)
+        assert rows == {0: {0: 1}, 2: {2: 1}}
         assert start.rows() == [{0: 1, 2: 1}]
         new = Subspace.from_vectors(field, 3, [[0, 0, lead]])
-        assert subspace_sum(start, new) == Subspace(field, 3, rows, pivots)
+        assert subspace_sum(start, new) == Subspace(field, 3, rows)
+
+
+def test_remainder_modulo_a_subspace_matches_textbook():
+    # v minus its coordinate at each pivot times the textbook RREF row, over
+    # Q and GF(3); the argument itself when it holds no pivot; no input is
+    # changed, neither the vector nor the subspace's rows
+    rng = random.Random(43)
+    for field in (QQ, GF(3)):
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            vecs = [random_vector(field, n, rng) for _ in range(rng.randint(0, n))]
+            S = Subspace.from_vectors(field, n, vecs)
+            rows, pivots = textbook_rref(field, vecs, n)
+            assert list(S.pivots) == pivots
+            before = [dict(r) for r in S.rows()]
+            x = random_vector(field, n, rng)
+            if rng.random() < 0.3:
+                x = [field.zero if c in pivots else y for c, y in enumerate(x)]
+            want = list(x)
+            for r, pc in zip(rows, pivots):
+                k = want[pc]
+                want = [field.sub(y, field.mul(k, z)) for y, z in zip(want, r)]
+            v = _vector(field, n, x)
+            copy = dict(v)
+            rest = S._remainder(v)
+            assert v == copy and S.rows() == before
+            assert canonical_row(field, rest)
+            assert [rest.get(c, field.zero) for c in range(n)] == want
+            if not set(v) & set(pivots):
+                assert rest is v
+            else:
+                assert rest is not v
 
 
 def test_kernel_takes_canonical_rows_and_changes_none(monkeypatch):
