@@ -2,10 +2,12 @@
 family F(t), and the de Graaf list of nilpotent algebras of dimension <= 6
 with dim L^2 >= 2, including the characteristic-2 families L2_6_k.
 
-Keys follow the grammar A<n>, H<m>, F<t>, L<d>_<k>, L2_6_<k>. Parameters are
-passed separately, never embedded in the key. A family key whose algebra
-would exceed `MAX_DIM` is rejected before anything is built. Each tabled entry carries its
-expected (dim L/Z, d(L/Z), dim L^2) row.
+Keys follow the grammar A<n>, H<m>, F<t>, L<d>_<k>, L2_6_<k>, a family index
+being a canonical decimal (no leading zero). Parameters are passed
+separately, never embedded in the key. A family key whose algebra would
+exceed `MAX_DIM` is rejected before anything is built, and one whose index
+has more digits than `MAX_DIM` before the index is read as a number. Each
+tabled entry carries its expected (dim L/Z, d(L/Z), dim L^2) row.
 
 The presentation of L2_6_3 is stored with [x3,x4]=x6 (its published form with
 [x2,x4]=x6 fails the Jacobi identity in every characteristic; the corrected
@@ -144,7 +146,7 @@ _TABLE_DATA = [
 
 _TABLE = {row[0]: row for row in _TABLE_DATA}
 
-_FAMILY_RE = re.compile(r"(A|H|F)([0-9]+)")
+_FAMILY_RE = re.compile(r"(A|H|F)(0|[1-9][0-9]*)")  # canonical ASCII decimal
 
 
 def abelian(field: Field, n: int) -> LieAlgebra:
@@ -190,7 +192,11 @@ def get(key: str, field: Field, param=None) -> LieAlgebra:
     if fam:
         if param is not None:
             raise CatalogError(f"{key} takes no parameter")
-        letter, idx = fam.group(1), int(fam.group(2))
+        letter, digits = fam.groups()
+        if len(digits) > len(str(MAX_DIM)):
+            raise CatalogError(f"{letter} index of {len(digits)} digits exceeds "
+                               f"the limit MAX_DIM = {MAX_DIM}")
+        idx = int(digits)
         dim = {"A": idx, "H": 2 * idx + 1, "F": idx + 3}[letter]
         if dim > MAX_DIM:
             raise CatalogError(f"{key}: dim {dim} exceeds the limit MAX_DIM = {MAX_DIM}")

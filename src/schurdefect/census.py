@@ -9,9 +9,12 @@ classification verdicts through the exact algebra stack.
 One filter serves every prime. It reads the structure constants as digits:
 the low digits of an id as uint8 arrays, computed once for every offset
 below a block size and cached, the high digits as Python ints, so ids of any
-size stay exact. It checks Jacobi one basis triple at a time over a block
-and runs the lower central series once, vectorized over every Jacobi
-survivor of its range. The test suite checks it against the exact stack.
+size stay exact; one list per block holds both. It checks Jacobi one basis
+triple at a time over a block, then decides nilpotency once, vectorized
+over every Jacobi survivor of its range, by Engel's theorem: ad(x)^n = 0
+for every x in GF(p)^n. It needs only matrix products mod p, so the package
+has no row reduction besides the exact kernel in `linalg`. The test suite
+checks the filter against the exact stack.
 Rows are always produced by the exact stack, never by the filter. numpy is
 imported inside the filter's functions, so only a census run loads it, not
 an import of the package.
@@ -171,73 +174,45 @@ def _jacobi_terms(n: int) -> list[list[list[tuple[int, int, int]]]]:
     return out
 
 
-def _echelon(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward elimination mod p of a stack of (rows, n) matrices.
-
-    Returns (E, rank): E[:, c] is the row with leading 1 at column c, or
-    zero when column c has no pivot, so E spans the same row space."""
-    import numpy as np
-    N, R, n = M.shape
-    E = np.zeros((N, n, n), dtype=M.dtype)
-    if not R:
-        return E, np.zeros(N, dtype=np.int64)
-    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=M.dtype)
-    at = np.arange(N)
-    for c in range(n):
-        col = M[:, :, c]
-        row = M[at, (col != 0).argmax(1)]
-        row = row * inv[row[:, c]][:, None] % p
-        M = (M + (p - col)[:, :, None] * row[:, None, :]) % p
-        E[:, c] = row
-    return E, E[:, np.arange(n), np.arange(n)].sum(1, dtype=np.int64)
-
-
 def _nilpotent(C: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Which of the Lie tensors C (N, pairs, n) are nilpotent: the lower
-    central series run on all of them at once, each dropped once it reaches
-    0 or repeats a dimension."""
+    """Which of the Lie tensors C (N, pairs, n) are nilpotent, by Engel's
+    theorem, which holds over any field: L is nilpotent iff ad(x) is
+    nilpotent for every x in L, that is iff ad(x)^n = 0. Every nonzero x in
+    GF(p)^n is tried in turn on the tensors still live, and a tensor is
+    dropped at the first x whose power is nonzero."""
     import numpy as np
     B = np.zeros((len(C), n, n, n), dtype=C.dtype)  # [e_i, e_l] at e_m
     for a, (i, j) in enumerate(_pairs(n)):
         B[:, i - 1, j - 1] = C[:, a]
         B[:, j - 1, i - 1] = (p - C[:, a]) % p
-    W, d = _echelon(C, p)
-    nilp = d == 0
-    live = np.flatnonzero((d > 0) & (d < n))
-    B, W, d = B[live], W[live], d[live]
-    while len(live):
-        V = np.matmul(W[:, None], B) % p  # [e_i, w_r] for every i, r
-        W, nd = _echelon(V.reshape(len(live), n * n, n), p)
-        nilp[live[nd == 0]] = True
-        keep = (nd > 0) & (nd < d)
-        live, B, W, d = live[keep], B[keep], W[keep], nd[keep]
+    live = np.arange(len(C))
+    for x in itertools.product(range(p), repeat=n):
+        if not any(x):
+            continue
+        ad = sum(c * B[:, i] for i, c in enumerate(x) if c) % p
+        power = ad
+        for _ in range(n - 1):
+            power = np.matmul(power, ad) % p
+        keep = ~power.any(axis=(1, 2))
+        live, B = live[keep], B[keep]
+        if not len(live):
+            break
+    nilp = np.zeros(len(C), dtype=bool)
+    nilp[live] = True
     return nilp
 
 
-def _vanishes(terms, digits, high, p: int) -> np.ndarray:
-    """Where sum(sign * digit x * digit y) = 0 mod p over a block: digits
-    below len(digits) are arrays, the rest are the ints high[x - len(digits)].
-    A term with a zero high digit is skipped; -1 is applied as p - 1."""
-    import numpy as np
-    a = len(digits)
-    const, lin, pos, negs = 0, {}, [], []
+def _vanishes(terms, digits, p: int) -> np.ndarray:
+    """Where sum((sign % p) * digit x * digit y) = 0 mod p over a block:
+    digits[x] is an array for a low digit and a Python int for a high one,
+    and a term with a zero int digit is skipped. A bool stands for the whole
+    block when every term read only int digits."""
+    acc = 0
     for s, x, y in terms:
-        if x >= a and y >= a:
-            const += s * high[x - a] * high[y - a]
-        elif x >= a or y >= a:
-            u, h = min(x, y), high[max(x, y) - a]
-            if h:
-                lin[u] = lin.get(u, 0) + s * h
-        else:
-            (pos if s > 0 else negs).append(digits[x] * digits[y])
-    acc = np.full(len(digits[0]), const % p, dtype=digits[0].dtype)
-    for u, c in lin.items():
-        if c % p:
-            acc += digits[u] * (c % p)
-    for prod in pos:
-        acc += prod
-    if negs:
-        acc += sum(negs) * (p - 1)
+        u, v = digits[x], digits[y]
+        if (type(u) is int and not u) or (type(v) is int and not v):
+            continue
+        acc = acc + (s % p) * u * v
     return acc % p == 0
 
 
@@ -246,9 +221,10 @@ def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
     (lie_count, nilpotent_ids) with the ids in increasing order.
 
     Each block of ids sharing a base is checked one triple at a time, and the
-    ids that fail are dropped before the next triple. A digit of the base is
-    a Python int, so a term with a zero high digit costs nothing. Nilpotency
-    then runs once, over every Jacobi survivor of the range."""
+    ids that fail are dropped before the next triple. The block's digit list
+    holds an array per low digit and the base's high digits as Python ints,
+    so a term with a zero high digit costs nothing. Engel's test then runs
+    once, over every Jacobi survivor of the range."""
     import numpy as np
     ndigits = n * len(_pairs(n))
     a = 0
@@ -256,9 +232,10 @@ def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
         a += 1
     span = p ** a
     low = _low_digit_arrays(p, a)
-    # a Jacobiator entry stays below p + a (p-1)^2 + 3n (p-1)^3, and so do
-    # the lower central series products and eliminations
-    dtype = np.min_scalar_type(p + a * (p - 1) ** 2 + 3 * n * (p - 1) ** 3)
+    # a Jacobiator sum is at most 3(n-1)(p-1)^3, and an entry of ad(x) or of
+    # a product of two reduced ad matrices at most n(p-1)^2: both stay within
+    # 3n(p-1)^3
+    dtype = np.min_scalar_type(3 * n * (p - 1) ** 3)
     terms = _jacobi_terms(n)
     blocks = []
     for base in range(lo - lo % span, hi, span):
@@ -268,17 +245,18 @@ def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
             high.append(digit)
         start, stop = max(lo - base, 0), min(hi - base, span)
         offs = np.arange(start, stop)
-        digits = [low[d, start:stop].astype(dtype, copy=False) for d in range(a)]
+        digits = [low[d, start:stop].astype(dtype, copy=False)
+                  for d in range(a)] + high
         for per_m in terms:
             if not len(offs):
                 break
             ok = np.ones(len(offs), dtype=bool)
             for m_terms in per_m:
-                ok &= _vanishes(m_terms, digits, high, p)
+                ok &= _vanishes(m_terms, digits, p)
             if not ok.all():
                 keep = np.flatnonzero(ok)
                 offs = offs[keep]
-                digits = [x[keep] for x in digits]
+                digits[:a] = [x[keep] for x in digits[:a]]
         if len(offs):
             blocks.append((base, high, offs))
     lie = sum(len(offs) for _, _, offs in blocks)

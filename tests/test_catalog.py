@@ -80,6 +80,18 @@ def test_family_keys_via_get():
     assert not catalog.is_family_key("L5_6")
 
 
+def test_family_keys_take_canonical_decimal_indices():
+    # an index of more digits than MAX_DIM is refused before int() reads
+    # it, and a leading zero makes an unknown key
+    for key in ("F" + "1" * 5000, "A" + "9" * 4301):
+        with pytest.raises(CatalogError, match="MAX_DIM"):
+            catalog.get(key, QQ)
+    for key in ("H" + "0" * 5000, "A0001"):
+        with pytest.raises(CatalogError, match="unknown catalog key"):
+            catalog.get(key, QQ)
+        assert not catalog.is_family_key(key)
+
+
 def test_gf2_listing_pairs_char2_families():
     keys = {e.key for e in catalog.list_all(GF(2))}
     assert {"L2_6_1", "L2_6_7"} <= keys

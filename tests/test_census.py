@@ -100,6 +100,10 @@ def test_filters_match_real_stack():
         assert _filter_range(n, p, lo, hi) == want, (n, p, lo, hi)
         if hi - lo > 9:
             assert want[1], (n, p, lo, hi)  # every wide case meets nilpotent ids
+    # the top of the GF(3) n = 4 space: every high digit is 2, so the
+    # Jacobi sums and the ad(x) products reach their largest values
+    for n, p, lo, hi in [(4, 3, 3 ** 24 - 400, 3 ** 24)]:
+        assert _filter_range(n, p, lo, hi) == exact_filter(n, p, lo, hi)
 
 
 def test_parallel_serial_identical():

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import central_document, random_invertible
+import schurdefect
 from schurdefect import catalog
 from schurdefect.algebra import MAX_BRACKETS, MAX_DIM, change_basis, direct_sum
 from schurdefect.cli import main
@@ -138,6 +143,21 @@ def test_filiform_summary(capsys):
     assert "t = 3" in out and "class 5" in out
 
 
+def test_console_entry_point():
+    # python -m schurdefect.cli runs console_main, which exits with main's code
+    env = dict(os.environ, PYTHONPATH=str(Path(schurdefect.__file__).parents[1]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "schurdefect.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = cli("t", "F7")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "7\n", "")
+    done = cli("enumerate", "--dim", "5", "--field", "gf:2")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "t", "L9_99")[0] == 2
@@ -174,6 +194,10 @@ def test_dim_limit(capsys, tmp_path, monkeypatch):
     for key in (f"A{MAX_DIM + 1}", f"H{MAX_DIM // 2}", f"F{MAX_DIM - 2}"):
         code, _, err = run(capsys, "t", key)
         assert code == 2 and f"{key}: dim {MAX_DIM + 1}" in err
+    # an index of more digits than int() reads is refused before it is read
+    code, out, err = run(capsys, "t", "F" + "1" * 5000)
+    assert code == 2 and out == "" and "MAX_DIM" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     code, _, err = run(capsys, "filiform", str(MAX_DIM - 2))
     assert code == 2 and "t: " in err
     assert run(capsys, "t", f"A{MAX_DIM}")[:2] == (0, "0\n")
