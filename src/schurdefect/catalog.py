@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import MAX_DIM, LieAlgebra, new_algebra
-from .errors import CatalogError
+from .errors import CatalogError, echo
 from .fields import Field
 
 # field constraints
@@ -206,7 +206,7 @@ def get(key: str, field: Field, param=None) -> LieAlgebra:
             return heisenberg(field, idx)
         return filiform(field, idx)
     if key not in _TABLE:
-        raise CatalogError(f"unknown catalog key: {key!r}")
+        raise CatalogError(f"unknown catalog key: {echo(key)}")
     _, dim, constraint, param_kind, _, brackets = _TABLE[key]
     if not _serves(constraint, field):
         need = ("is served for characteristic != 2" if constraint == CHAR_NE_2
@@ -234,7 +234,7 @@ def get(key: str, field: Field, param=None) -> LieAlgebra:
 
 def entry(key: str) -> CatalogEntry:
     if key not in _TABLE:
-        raise CatalogError(f"unknown catalog key: {key!r}")
+        raise CatalogError(f"unknown catalog key: {echo(key)}")
     return CatalogEntry(*_TABLE[key][:5])
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict
 from . import catalog, verification
 from .census import enumerate_algebras, verify_bounds
 from .classify import COUNTEREXAMPLE, classify_t012
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, ParseError, echo
 from .algebra import MAX_DIM
 from .fields import GF, QQ, Field, PrimeField
 from .invariants import moneyhun_check, report, t_invariant
@@ -28,9 +28,9 @@ def _parse_field(text: str) -> Field:
         try:
             p = int(text[3:])
         except ValueError:
-            raise ParseError(f"bad field spec {text!r}; use q or gf:P") from None
+            raise ParseError(f"bad field spec {echo(text)}; use q or gf:P") from None
         return GF(p)
-    raise ParseError(f"bad field spec {text!r}; use q or gf:P")
+    raise ParseError(f"bad field spec {echo(text)}; use q or gf:P")
 
 
 def _load_algebra(args):

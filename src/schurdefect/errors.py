@@ -1,4 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `echo`, the one way a
+message quotes outside input."""
+
+ECHO_CHARS = 40  # outside text up to this length is echoed whole
+
+
+def echo(value) -> str:
+    """Outside input as an error message shows it: ``repr`` of a string of
+    at most `ECHO_CHARS` characters, and of a longer one the ``repr`` of
+    its first `ECHO_CHARS`, ``...`` and its length, so that a message stays
+    short whatever the input. Any other value is shown by ``repr``, cut
+    the same way."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
+    if len(text) <= ECHO_CHARS:
+        return show(text)
+    return f"{show(text[:ECHO_CHARS])}... ({len(text)} characters)"
 
 
 class FieldMismatch(ValueError):

@@ -21,7 +21,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import FieldMismatch, ParseError
+from .errors import FieldMismatch, ParseError, echo
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _RESIDUE_RE = re.compile(r"[0-9]+")
@@ -85,9 +85,10 @@ class RationalField(Field):
 
     def parse(self, text: str) -> int | Fraction:
         if not _RATIONAL_RE.fullmatch(text):
-            raise ParseError(f"malformed rational scalar: {text!r}")
+            raise ParseError(f"malformed rational scalar: {echo(text)}")
+        num, _, den = text.partition("/")
         try:
-            return canonical(Fraction(text))
+            return canonical(Fraction(int(num), int(den))) if den else int(num)
         except ValueError as exc:  # more digits than int() converts
             raise ParseError(f"rational scalar out of range: {exc}") from None
 
@@ -113,9 +114,9 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
-            raise ValueError(f"modulus must be a prime integer: {p!r}")
+            raise ValueError(f"modulus must be a prime integer: {echo(p)}")
         if p >= MAX_PRIME:
-            raise ValueError(f"modulus too large (p < 2^31 required): {p}")
+            raise ValueError(f"modulus too large (p < 2^31 required): {echo(p)}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime: {p}")
         self.p = p
@@ -140,13 +141,13 @@ class PrimeField(Field):
 
     def parse(self, text: str) -> int:
         if not _RESIDUE_RE.fullmatch(text):
-            raise ParseError(f"malformed GF({self.p}) scalar: {text!r}")
+            raise ParseError(f"malformed GF({self.p}) scalar: {echo(text)}")
         try:
             value = int(text)
         except ValueError as exc:  # more digits than int() converts
             raise ParseError(f"residue out of range for GF({self.p}): {exc}") from None
         if value >= self.p:
-            raise ParseError(f"residue {value} out of range for GF({self.p})")
+            raise ParseError(f"residue {echo(value)} out of range for GF({self.p})")
         return value
 
     @staticmethod

@@ -269,3 +269,17 @@ def test_hostile_documents_exit_2_with_one_error_line(capsys, tmp_path):
         code, out, err = run(capsys, "t", "--file", str(path))
         assert code == 2 and out == "", path.name
         assert err.startswith("error: ") and err.count("\n") == 1, path.name
+
+
+def test_long_outside_text_gives_one_short_error_line(capsys):
+    # an unknown key, a malformed parameter, a parameter past int()'s digit
+    # limit and a bad field spec, 5,000 characters each
+    for argv in (("t", "H" + "0" * 5000), ("t", "L6_19", "--param", "x" * 5000),
+                 ("t", "L6_19", "--param", "1" * 5000),
+                 ("t", "L6_19", "--field", "gf:3", "--param", "9" * 4000),
+                 ("t", "L4_3", "--field", "z" * 5000),
+                 ("t", "L4_3", "--field", "gf:-" + "1" * 4000)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
+        assert len(err) < 200, err[:300]

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurdefect.errors import FieldMismatch, ParseError
-from schurdefect.fields import GF, QQ, PrimeField, RationalField
+from schurdefect.fields import GF, QQ, PrimeField, RationalField, canonical
 
 
 def test_rational_examples():
@@ -117,3 +118,73 @@ def test_integral_rationals_are_ints():
     assert one == 1 and type(one) is int
     with pytest.raises(TypeError):
         QQ.coerce(0.5)
+
+
+# `QQ.parse` reads its text with int(), and Fraction(text) is its oracle:
+# the same value and the same type (int when integral) on every text the
+# grammar accepts, canonical or not.
+def _fraction_oracle(text):
+    return canonical(Fraction(text))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 20))
+def test_parse_agrees_with_fraction_on_canonical_texts(num, den):
+    text = QQ.render(canonical(Fraction(num, den)))
+    value = QQ.parse(text)
+    assert value == _fraction_oracle(text)
+    assert type(value) is type(_fraction_oracle(text))
+    assert QQ.render(value) == text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.from_regex(r"-?[0-9]{1,25}(/[1-9][0-9]{0,12})?", fullmatch=True))
+def test_parse_agrees_with_fraction_on_grammar_texts(text):
+    value = QQ.parse(text)
+    assert value == _fraction_oracle(text)
+    assert type(value) is type(_fraction_oracle(text))
+
+
+@pytest.mark.parametrize("text, value", [("-0", 0), ("007", 7), ("1/1", 1),
+                                         ("2/4", Fraction(1, 2))])
+def test_parse_edge_texts(text, value):
+    got = QQ.parse(text)
+    assert got == value and type(got) is type(value)
+    assert QQ.render(got) != text  # none of them is canonical
+
+
+@pytest.mark.parametrize("text", ["+1", "1/01", " 1"])
+def test_parse_rejects_edge_texts(text):
+    with pytest.raises(ParseError, match="malformed rational scalar"):
+        QQ.parse(text)
+
+
+def test_parse_digit_limit():
+    # 4300 is Python's default limit on the digits int() converts; parse
+    # keeps it and reports a text past it as a ParseError
+    digits = 4300
+    assert len(str(QQ.parse("7" * digits))) == digits
+    assert QQ.parse("-" + "7" * digits) < 0
+    assert QQ.parse("1/" + "7" * digits).denominator > 1
+    for text in ("7" * (digits + 1), "1/" + "7" * (digits + 1),
+                 "7" * (digits + 1) + "/2"):
+        with pytest.raises(ParseError, match="out of range"):
+            QQ.parse(text)
+    with pytest.raises(ParseError, match="out of range"):
+        GF(5).parse("1" * (digits + 1))
+
+
+def test_parse_messages_stay_short():
+    long = "x" * 5000
+    for field in (QQ, GF(5)):
+        with pytest.raises(ParseError) as err:
+            field.parse(long)
+        message = str(err.value)
+        assert len(message) < 200 and "'xxxx" in message and "5000 characters" in message
+    with pytest.raises(ParseError) as err:
+        GF(5).parse("9" * 4000)  # a residue out of range
+    assert len(str(err.value)) < 200
+    for p in (10 ** 4000, -(10 ** 4000)):
+        with pytest.raises(ValueError) as err:
+            PrimeField(p)
+        assert len(str(err.value)) < 200
