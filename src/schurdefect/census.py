@@ -15,9 +15,9 @@ over every Jacobi survivor of its range, by Engel's theorem: ad(x)^n = 0
 for every x in GF(p)^n. It needs only matrix products mod p, so the package
 has no row reduction besides the exact kernel in `linalg`. The test suite
 checks the filter against the exact stack.
-Rows are always produced by the exact stack, never by the filter. numpy is
-imported inside the filter's functions, so only a census run loads it, not
-an import of the package.
+Rows are always produced by the exact stack, never by the filter. numpy and
+multiprocessing are imported inside the functions that use them, so only a
+census run loads them, not an import of the package.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass, field as dc_field
-from multiprocessing import Pool
 
 from .algebra import LieAlgebra
 from .classify import classify_t012
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, echo
 from .fields import Field, GF, PrimeField
 from .invariants import report
 
@@ -320,7 +319,7 @@ def enumerate_algebras(n: int, field: Field, jobs: int = 1,
     p = field.p
     if n > _MAX_DIM[p] and not force:
         raise BudgetExceeded(
-            f"dim {n} over GF({p}) exceeds the budget guard "
+            f"dim {echo(n)} over GF({p}) exceeds the budget guard "
             f"(max {_MAX_DIM[p]}); pass force=True to override")
     total = tensor_space_size(n, field)
     jobs = max(1, min(int(jobs), _usable_cpus()))
@@ -330,7 +329,8 @@ def enumerate_algebras(n: int, field: Field, jobs: int = 1,
         step = -(-total // jobs)
         ranges = [(n, p, lo, min(lo + step, total))
                   for lo in range(0, total, step)]
-        with Pool(len(ranges)) as pool:
+        import multiprocessing
+        with multiprocessing.Pool(len(ranges)) as pool:
             results = pool.map(_census_worker, ranges)
     lie_count = 0
     rows: list[CensusRow] = []

@@ -14,11 +14,21 @@ from dataclasses import asdict
 from . import catalog, verification
 from .census import enumerate_algebras, verify_bounds
 from .classify import COUNTEREXAMPLE, classify_t012
-from .errors import BudgetExceeded, ParseError, echo
+from .errors import ECHO_CHARS, BudgetExceeded, ParseError, echo
 from .algebra import MAX_DIM
 from .fields import GF, QQ, Field, PrimeField
 from .invariants import moneyhun_check, report, t_invariant
 from .serialize import dumps, loads
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse quotes outside text whole in its usage errors; this parser
+    and its subparsers cut them like `echo`, at 5 * `ECHO_CHARS`."""
+
+    def error(self, message):
+        if len(message) > 5 * ECHO_CHARS:
+            message = f"{message[:5 * ECHO_CHARS]}... ({len(message)} characters)"
+        super().error(message)
 
 
 def _parse_field(text: str) -> Field:
@@ -144,8 +154,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_filiform(args) -> int:
     if args.t + 3 > MAX_DIM:
-        raise ParseError(f"t: F({args.t}) has dim {args.t + 3}, over the limit "
-                         f"MAX_DIM = {MAX_DIM}")
+        raise ParseError(f"t: F({echo(args.t)}) has dim {echo(args.t + 3)}, "
+                         f"over the limit MAX_DIM = {MAX_DIM}")
     field = _parse_field(args.field)
     L = catalog.filiform(field, args.t)
     if args.emit:
@@ -158,7 +168,7 @@ def cmd_filiform(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurdefect",
         description="Exact invariants, classification and census for nilpotent "
                     "Lie algebras (Schur defect t).")

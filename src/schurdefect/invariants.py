@@ -9,22 +9,17 @@ three subspace dimensions without building the quotient algebra.
 
 Z(L), the centralizer C_L(U) and every later term of the upper central
 series are one kind of subspace, {x : [x, u] in W for every u in U} with W
-an ideal, and all are solved by one kernel, `annihilator`.
+an ideal, and all are solved by one kernel, `annihilator`; Z_2 is the
+chain's second term, checked in the tests against the preimage of Z(L/Z(L)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, _ad, _ads, product_subspace, quotient
+from .algebra import LieAlgebra, _ad, _ads, product_subspace
 from .errors import NotNilpotent
-from .linalg import (
-    Subspace,
-    _null_vectors,
-    _rref_rows,
-    preimage,
-    subspace_sum,
-)
+from .linalg import Subspace, null_space, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,8 @@ def annihilator(L: LieAlgebra, W: Subspace | None = None,
     and from U's rows, through `_ad`, otherwise. Each column [u, e_c], c in
     C, is reduced modulo W by `W._remainder`, and entry k of the remainder
     gives one equation sum_c x_c [u, e_c]_k = 0, as [x, u] = -[u, x] flips
-    every sign alike. The equations' echelon map gives null vectors on C
-    only, which are fed to the kernel started from W.
+    every sign alike. `null_space` solves the equations on C only and
+    starts the kernel that spans the solutions from W.
     """
     f, n = L.field, L.dim
     W = Subspace.zero(f, n) if W is None else W
@@ -87,8 +82,7 @@ def annihilator(L: LieAlgebra, W: Subspace | None = None,
             if c not in pivots:
                 for k, x in remainder(col).items():
                     system.setdefault((a, k), {})[c] = x
-    eqs = _rref_rows(f, system.values())
-    return Subspace(f, n, _rref_rows(f, _null_vectors(f, eqs, off), W))
+    return null_space(f, n, system.values(), off, W)
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -97,12 +91,11 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def second_center(L: LieAlgebra) -> Subspace:
-    """Preimage of Z(L/Z(L)) under the quotient projection."""
-    z = center(L)
-    if z.is_full():
-        return z
-    Q, proj = quotient(L, z)
-    return preimage(proj.matrix, center(Q))
+    """Z_2(L) = ann(Z(L), L), the upper central series' second term, or Z(L)
+    when the series stops there; the tests check it against the preimage of
+    Z(L/Z(L)) under the quotient projection."""
+    ucs = upper_central_series(L)
+    return ucs[1] if len(ucs) > 1 else center(L)
 
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:
@@ -191,23 +184,16 @@ def report(L: LieAlgebra) -> InvariantReport:
 
 def _report(L: LieAlgebra) -> InvariantReport:
     l2 = derived_subalgebra(L)
-    lcs = lower_central_series(L)
-    ucs = upper_central_series(L)
     z = center(L)
-    nilp = lcs[-1].dim == 0
-    cls = len(lcs) - 1 if nilp else None
-    z2_dim = ucs[1].dim if len(ucs) > 1 else z.dim
-    if nilp:
-        d, t = _d_and_t(L, z, l2)
-    else:
-        d, t = None, None
+    cls = nilpotency_class(L)
+    d, t = _d_and_t(L, z, l2) if cls is not None else (None, None)
     return InvariantReport(
         dim=L.dim,
         dim_derived=l2.dim,
         dim_center=z.dim,
-        dim_second_center=z2_dim,
-        lcs_dims=tuple(s.dim for s in lcs),
-        ucs_dims=tuple(s.dim for s in ucs),
+        dim_second_center=second_center(L).dim,
+        lcs_dims=tuple(s.dim for s in lower_central_series(L)),
+        ucs_dims=tuple(s.dim for s in upper_central_series(L)),
         nilpotency_class=cls,
         d_central_quotient=d,
         t=t,

@@ -156,11 +156,13 @@ def _null_vectors(field: Field, rows: dict, cols) -> list[dict]:
     return list(vecs.values())
 
 
-def null_space(field: Field, n: int, rows) -> "Subspace":
-    """{x in F^n : r . x = 0 for every row r}; rows are canonical sparse
-    {col: x} dicts."""
+def null_space(field: Field, n: int, rows, cols=None, start=None) -> "Subspace":
+    """{x in F^n : r . x = 0 for every row r}, rows canonical sparse {col: x}
+    dicts, solved on `cols` (default range(n)), which hold every column of
+    the rows, plus the rows of the Subspace `start`, if given."""
+    cols = range(n) if cols is None else cols
     return Subspace(field, n, _rref_rows(
-        field, _null_vectors(field, _rref_rows(field, rows), range(n))))
+        field, _null_vectors(field, _rref_rows(field, rows), cols), start))
 
 
 class Matrix:

@@ -1,15 +1,16 @@
 """Shared test helpers: seeded random scalars, vectors and base changes, a
 canonical-row predicate, the golden corpus, dense textbook brackets,
-products, Gauss-Jordan and annihilators as oracles, and algebra documents
-of a given bracket count."""
+products, Gauss-Jordan, annihilators and the quotient-preimage second center
+as oracles, and algebra documents of a given bracket count."""
 
 from fractions import Fraction
 from itertools import combinations, islice
 
 from schurdefect import catalog
-from schurdefect.algebra import direct_sum
+from schurdefect.algebra import direct_sum, quotient
 from schurdefect.fields import QQ, PrimeField
-from schurdefect.linalg import Matrix
+from schurdefect.invariants import center
+from schurdefect.linalg import Matrix, preimage
 
 
 def random_scalar(field, rng, zero_ok=True):
@@ -175,3 +176,14 @@ def textbook_annihilator(L, W, U):
             v[pc] = field.neg(r[c])
         kernel.append(v[:n])
     return textbook_rref(field, kernel, n)[0]
+
+
+def quotient_second_center(L):
+    """Z_2(L) by its textbook description, through the public quotient: the
+    preimage of Z(L/Z(L)) under the projection L -> L/Z(L), or Z(L) when
+    that is all of L."""
+    z = center(L)
+    if z.is_full():
+        return z
+    Q, proj = quotient(L, z)
+    return preimage(proj.matrix, center(Q))

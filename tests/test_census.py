@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 import random
 
 import pytest
@@ -127,7 +128,7 @@ def test_jobs_capped_at_usable_cpus(monkeypatch):
             sizes.append(processes)
             raise RuntimeError("no process is started in this test")
 
-    monkeypatch.setattr(census, "Pool", StubPool)
+    monkeypatch.setattr(multiprocessing, "Pool", StubPool)
     monkeypatch.setattr(census, "_usable_cpus", lambda: 3)
     for jobs, want in ((100_000, 3), (3, 3), (2, 2)):
         with pytest.raises(RuntimeError):

@@ -278,8 +278,23 @@ def test_long_outside_text_gives_one_short_error_line(capsys):
                  ("t", "L6_19", "--param", "1" * 5000),
                  ("t", "L6_19", "--field", "gf:3", "--param", "9" * 4000),
                  ("t", "L4_3", "--field", "z" * 5000),
-                 ("t", "L4_3", "--field", "gf:-" + "1" * 4000)):
+                 ("t", "L4_3", "--field", "gf:-" + "1" * 4000),
+                 ("filiform", "1" * 4000),
+                 ("enumerate", "--dim", "1" * 4000, "--field", "gf:3")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
         assert len(err) < 200, err[:300]
+
+
+def test_long_outside_text_gives_short_usage_errors(capsys):
+    # argparse's own usage errors quote the argument: an int past int()'s
+    # digit limit, an unknown subcommand, an unknown extra argument
+    big = "1" * 5000
+    for argv in (("filiform", big), ("x" * 3000,),
+                 ("enumerate", "--dim", "3", "--field", "gf:3", "--jobs", big),
+                 ("catalog", big)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv[:1]
+        assert "error: argument" in err or "unrecognized" in err, err[:300]
+        assert len(err.encode()) < 1024 and "Traceback" not in err, err[:300]

@@ -4,7 +4,12 @@ from itertools import product
 
 import pytest
 
-from conftest import random_invertible, random_vector, textbook_annihilator
+from conftest import (
+    quotient_second_center,
+    random_invertible,
+    random_vector,
+    textbook_annihilator,
+)
 from schurdefect import catalog
 from schurdefect.algebra import bracket, change_basis, direct_sum, new_algebra, quotient
 from schurdefect.errors import NotNilpotent
@@ -65,6 +70,13 @@ def test_second_center_examples():
     assert second_center(catalog.abelian(QQ, 3)).dim == 3
     sum_alg = direct_sum(catalog.heisenberg(QQ, 1), catalog.abelian(QQ, 2))
     assert second_center(sum_alg).dim == 5  # class 2: Z_2 = L
+    # trivial centers: the series is empty and Z_2 = Z = 0
+    sl2 = new_algebra(QQ, 3, [((1, 2), {2: 2}), ((1, 3), {3: -2}), ((2, 3), {1: 1})])
+    for L in (non_nilpotent_example(), sl2):
+        assert second_center(L).dim == 0
+    for L in (catalog.get("L4_3", QQ), catalog.abelian(QQ, 3), sum_alg,
+              catalog.abelian(QQ, 0), non_nilpotent_example(), sl2):
+        assert second_center(L) == quotient_second_center(L)
 
 
 def test_lcs_example_l57():
@@ -97,7 +109,7 @@ def test_ucs_consistency():
         L = catalog.get(key, QQ)
         ucs = upper_central_series(L)
         assert ucs[0] == center(L)
-        assert ucs[1] == second_center(L)
+        assert ucs[1] == second_center(L) == quotient_second_center(L)
         assert ucs[-1].dim == L.dim  # nilpotent: reaches the full space
         assert len(ucs) == nilpotency_class(L)
     bad = non_nilpotent_example()

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schurdefect.algebra as algebra
-import schurdefect.invariants as invariants
 import schurdefect.linalg as linalg
 from conftest import (
     canonical_row,
     fields_for_tests,
     golden_corpus,
+    quotient_second_center,
     random_invertible,
     random_scalar,
     random_vector,
@@ -21,7 +21,7 @@ from schurdefect.algebra import _ad_table, _ads, change_basis
 from schurdefect.classify import classify_t012
 from schurdefect.errors import NotContained, SingularMatrix
 from schurdefect.fields import GF, QQ
-from schurdefect.invariants import report, second_center
+from schurdefect.invariants import report
 from schurdefect.linalg import (
     Matrix,
     Subspace,
@@ -337,9 +337,10 @@ def test_remainder_modulo_a_subspace_matches_textbook():
 
 def test_kernel_takes_canonical_rows_and_changes_none(monkeypatch):
     # the kernel trusts its input: every row and start row that report,
-    # classify_t012, second_center and change_basis hand it over the golden
-    # corpus is canonical, it changes none of them, and the cached ad
-    # columns, fed to it as they are, stay equal to a fresh table
+    # classify_t012, the quotient-preimage second center and change_basis
+    # hand it over the golden corpus is canonical, it changes none of them,
+    # and the cached ad columns, fed to it as they are, stay equal to a
+    # fresh table (invariants reaches the kernel through linalg.null_space)
     real = linalg._rref_rows
     calls = []
 
@@ -353,7 +354,7 @@ def test_kernel_takes_canonical_rows_and_changes_none(monkeypatch):
         calls.append(len(given))
         return out
 
-    for module in (linalg, algebra, invariants):
+    for module in (linalg, algebra):
         monkeypatch.setattr(module, "_rref_rows", spy)
     rng = random.Random(2022)
     algebras = []
@@ -363,7 +364,7 @@ def test_kernel_takes_canonical_rows_and_changes_none(monkeypatch):
             for L in (base, moved):
                 report(L)
                 classify_t012(L)
-                second_center(L)
+                quotient_second_center(L)
                 algebras.append(L)
     assert len(calls) > 1000
     for L in algebras:

@@ -16,7 +16,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, assume, find, given, settings, strategies as st
 
-from conftest import fields_for_tests, random_invertible, textbook_annihilator
+from conftest import (
+    fields_for_tests,
+    quotient_second_center,
+    random_invertible,
+    textbook_annihilator,
+)
 from schurdefect import catalog
 from schurdefect.algebra import (
     LieAlgebra,
@@ -110,8 +115,8 @@ def test_invariants_and_bounds(L, seed):
 def test_upper_central_series_is_the_annihilator_chain(L, seed):
     # each term is the annihilator of the one before over all of L, the
     # center and the centralizer of L^2 are annihilators of 0, all checked
-    # against the dense textbook kernel, and the second term is the quotient
-    # preimage
+    # against the dense textbook kernel, and the second term, which is
+    # second_center, is the quotient preimage
     for N in (L, _moved(L, seed)):
         ucs = upper_central_series(N)
         zero, full = Subspace.zero(N.field, N.dim), N.full_space()
@@ -121,7 +126,7 @@ def test_upper_central_series_is_the_annihilator_chain(L, seed):
         for W, U, got in cases:
             assert got.basis == textbook_annihilator(N, W, U), (N, W, U)
         assert ucs[-1].is_full() and len(ucs) == nilpotency_class(N)
-        assert ucs[min(1, len(ucs) - 1)] == second_center(N)
+        assert ucs[min(1, len(ucs) - 1)] == second_center(N) == quotient_second_center(N)
 
 
 # the catalog stem of each t = 1, 2 verdict
