@@ -9,12 +9,20 @@ classification verdicts through the exact algebra stack.
 One filter serves every prime. It reads the structure constants as digits:
 the low digits of an id as uint8 arrays, computed once for every offset
 below a block size and cached, the high digits as Python ints, so ids of any
-size stay exact; one list per block holds both. It checks Jacobi one basis
-triple at a time over a block, then decides nilpotency once, vectorized
-over every Jacobi survivor of its range, by Engel's theorem: ad(x)^n = 0
-for every x in GF(p)^n. It needs only matrix products mod p, so the package
-has no row reduction besides the exact kernel in `linalg`. The test suite
-checks the filter against the exact stack.
+size stay exact. It checks Jacobi one basis triple at a time over a block,
+then decides nilpotency once, vectorized over every Jacobi survivor of its
+range, by Engel's theorem: ad(x)^n = 0 for every x in GF(p)^n. It needs
+only matrix products mod p, so the package has no row reduction besides the
+exact kernel in `linalg`. The test suite checks the filter against the exact
+stack.
+
+The Jacobi stage never divides. A sum is tested for p | x by one wrapping
+multiply and one compare, x * m mod 2^w < l, on the filter's w-bit arrays;
+only (m, l) depends on p. Every sum is taken in place, a high digit folds
+into a Python-int coefficient of one low-digit array, and the first triple's
+products of two low digits, the same in every block, are summed once per
+range (the shared half), so each block adds only its high-digit terms to a
+copy of it.
 Rows are always produced by the exact stack, never by the filter. numpy and
 multiprocessing are imported inside the functions that use them, so only a
 census run loads them, not an import of the package.
@@ -201,41 +209,90 @@ def _nilpotent(C: np.ndarray, n: int, p: int) -> np.ndarray:
     return nilp
 
 
-def _vanishes(terms, digits, p: int) -> np.ndarray:
-    """Where sum((sign % p) * digit x * digit y) = 0 mod p over a block:
-    digits[x] is an array for a low digit and a Python int for a high one,
-    and a term with a zero int digit is skipped. A bool stands for the whole
-    block when every term read only int digits."""
-    acc = 0
-    for s, x, y in terms:
-        u, v = digits[x], digits[y]
-        if (type(u) is int and not u) or (type(v) is int and not v):
-            continue
-        acc = acc + (s % p) * u * v
-    return acc % p == 0
+def _zero_test(p: int, w: int) -> tuple[int, int]:
+    """(m, l) such that p divides x iff x * m mod 2^w < l, for 0 <= x < 2^w,
+    so that a w-bit array is tested with one wrapping multiply and one
+    compare, and nothing divides.
+
+    For odd p, m is the inverse of p mod 2^w. x -> x * m mod 2^w permutes
+    0 .. 2^w - 1 and sends the multiple j * p to j, so the multiples of p
+    fill 0 .. l - 1 with l = floor((2^w - 1)/p) + 1, and every other x lands
+    at l or above (Granlund-Montgomery, PLDI 1994; Lemire-Kaser-Kurz, Softw.
+    Pract. Exp. 49, 2019). For p = 2, x * 2^(w-1) mod 2^w is 0 for even x and
+    2^(w-1) for odd x."""
+    if p % 2:
+        return pow(p, -1, 1 << w), ((1 << w) - 1) // p + 1
+    return 1 << (w - 1), 1
 
 
-def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
-    """Jacobi + nilpotency filter on tensor ids lo .. hi - 1; returns
-    (lie_count, nilpotent_ids) with the ids in increasing order.
-
-    Each block of ids sharing a base is checked one triple at a time, and the
-    ids that fail are dropped before the next triple. The block's digit list
-    holds an array per low digit and the base's high digits as Python ints,
-    so a term with a zero high digit costs nothing. Engel's test then runs
-    once, over every Jacobi survivor of the range."""
+def _layout(n: int, p: int) -> tuple[int, int, np.dtype]:
+    """(ndigits, a, dtype): the digits of an id, the a low ones among them,
+    and the unsigned dtype of the filter's arrays."""
     import numpy as np
     ndigits = n * len(_pairs(n))
     a = 0
     while a < ndigits and p ** (a + 1) <= _BLOCK:
         a += 1
-    span = p ** a
-    low = _low_digit_arrays(p, a)
     # a Jacobiator sum is at most 3(n-1)(p-1)^3, and an entry of ad(x) or of
     # a product of two reduced ad matrices at most n(p-1)^2: both stay within
-    # 3n(p-1)^3
-    dtype = np.min_scalar_type(3 * n * (p - 1) ** 3)
-    terms = _jacobi_terms(n)
+    # 3n(p-1)^3, so no sum the zero test reads has wrapped
+    return ndigits, a, np.min_scalar_type(3 * n * (p - 1) ** 3)
+
+
+def _add_products(acc, terms, digits, tmp) -> None:
+    """acc += c * digits[x] * digits[y] for each (c, x, y) of terms, in place,
+    through the one buffer tmp."""
+    import numpy as np
+    for c, x, y in terms:
+        np.multiply(digits[x], digits[y], out=tmp)
+        if c != 1:
+            tmp *= c
+        acc += tmp
+
+
+def _jacobi_blocks(n: int, p: int, lo: int, hi: int) -> list[tuple]:
+    """The Jacobi stage of `_filter_range` on ids lo .. hi - 1: the survivors
+    as (base, high digits, offsets) per block, in increasing id order.
+
+    Each term c * digit x * digit y of a Jacobiator entry, c = sign mod p, is
+    one of three kinds. Both digits low: the same array in every block.
+    Those of the first triple are summed once per call over all p^a offsets
+    (the shared half), and those of later triples per block, over the ids
+    left. One digit high: c times the high digit is a Python int, so the
+    terms of one low digit merge into one coefficient mod p, and the low
+    array is added once, scaled only when that coefficient is not 1. Both
+    digits high: a Python int, the constant term. Every sum is taken in
+    place, and `_zero_test`'s multiply and compare replace `% p`."""
+    import numpy as np
+    ndigits, a, dtype = _layout(n, p)
+    span = p ** a
+    low = _low_digit_arrays(p, a).astype(dtype, copy=False)
+    mul, lim = _zero_test(p, 8 * dtype.itemsize)
+    # per triple and output index m, the (c, x, y) terms in three lists: both
+    # digits low; x low and y high; both high (a high digit's index counts
+    # from a)
+    split = []
+    for per_m in _jacobi_terms(n):
+        rows = []
+        for terms in per_m:
+            kinds = ([], [], [])
+            for s, x, y in terms:
+                x, y = min(x, y), max(x, y)
+                if y < a:
+                    kinds[0].append((s % p, x, y))
+                elif x < a:
+                    kinds[1].append((s % p, x, y - a))
+                else:
+                    kinds[2].append((s % p, x - a, y - a))
+            rows.append(kinds)
+        split.append(rows)
+    shared = []
+    if split:
+        tmp = np.empty(span, dtype)
+        for both, _, _ in split[0]:
+            acc = np.zeros(span, dtype)
+            _add_products(acc, both, low, tmp)
+            shared.append(acc)
     blocks = []
     for base in range(lo - lo % span, hi, span):
         high, rest = [], base // span
@@ -243,21 +300,65 @@ def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
             rest, digit = divmod(rest, p)
             high.append(digit)
         start, stop = max(lo - base, 0), min(hi - base, span)
-        offs = np.arange(start, stop)
-        digits = [low[d, start:stop].astype(dtype, copy=False)
-                  for d in range(a)] + high
-        for per_m in terms:
-            if not len(offs):
-                break
-            ok = np.ones(len(offs), dtype=bool)
-            for m_terms in per_m:
-                ok &= _vanishes(m_terms, digits, p)
+        offs = None  # the offsets left once a triple drops one
+        digits = low[:, start:stop]  # sliced: row d is low digit d of each id
+        for t, per_m in enumerate(split):
+            k = digits.shape[1]
+            acc, tmp, worst = np.empty(k, dtype), np.empty(k, dtype), np.zeros(k, dtype)
+            for m, (both, mixed, pure) in enumerate(per_m):
+                const = sum(c * high[x] * high[y] for c, x, y in pure) % p
+                coef: dict[int, int] = {}
+                for c, x, y in mixed:
+                    if high[y]:
+                        coef[x] = coef.get(x, 0) + c * high[y]
+                coef = {x: c % p for x, c in coef.items() if c % p}
+                if t == 0:
+                    # a copy: every block starts from the same shared half
+                    np.add(shared[m][start:stop], const, out=acc)
+                elif both or coef:
+                    acc.fill(const)
+                    _add_products(acc, both, digits, tmp)
+                else:  # the same sum for every id of the block
+                    if const:
+                        worst.fill(lim)
+                        break
+                    continue
+                for x, c in coef.items():
+                    if c == 1:
+                        acc += digits[x]
+                    else:
+                        np.multiply(digits[x], c, out=tmp)
+                        acc += tmp
+                # an id passes iff every entry's x * mul stays below lim
+                acc *= mul
+                np.maximum(worst, acc, out=worst)
+            ok = worst < lim
             if not ok.all():
                 keep = np.flatnonzero(ok)
-                offs = offs[keep]
-                digits[:a] = [x[keep] for x in digits[:a]]
+                offs = keep + start if offs is None else offs[keep]
+                if not len(offs):
+                    break
+                digits = digits.take(keep, axis=1)
+        if offs is None:
+            offs = np.arange(start, stop)
         if len(offs):
             blocks.append((base, high, offs))
+    return blocks
+
+
+def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
+    """Jacobi + nilpotency filter on tensor ids lo .. hi - 1; returns
+    (lie_count, nilpotent_ids) with the ids in increasing order.
+
+    `_jacobi_blocks` checks each block of ids sharing a base one triple at a
+    time, and drops the ids that fail before the next triple; only the first
+    triple sees whole blocks, and it starts each block from the shared half
+    summed once. No step of it divides. Engel's test then runs once, over
+    every Jacobi survivor of the range."""
+    import numpy as np
+    ndigits, a, dtype = _layout(n, p)
+    low = _low_digit_arrays(p, a)
+    blocks = _jacobi_blocks(n, p, lo, hi)
     lie = sum(len(offs) for _, _, offs in blocks)
     if not lie:
         return 0, []

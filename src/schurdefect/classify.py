@@ -123,8 +123,9 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
 
     The bracket induces an alternating form B on a complement of the center,
     valued in the derived line: B(e_a, e_b) is the entry of the cached column
-    [e_a, e_b] at the line's pivot, read once into a Gram table after checking
-    that every column lies on the line (its remainder modulo L^2 is zero).
+    [e_a, e_b] at the line's pivot, read once into a Gram table. Every
+    bracket lies in L^2, so the column is that entry times the line's basis
+    vector; a wrong L^2 would fail the witness's check.
     Alternating Gram-Schmidt on the complement's sparse rows puts B in
     symplectic normal form, giving the Heisenberg pairs. B is nondegenerate
     off the center, so the first remaining vector always has a partner. The
@@ -139,13 +140,7 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
     if not z.contains_subspace(l2):
         raise DerivedNotLine("derived line is not central (algebra is not nilpotent)")
     w, wpiv = l2.rows()[0], l2.pivots[0]
-
-    def on_line(col):
-        if l2._remainder(col):
-            raise ArithmeticError("bracket escaped the derived line")
-        return col.get(wpiv, f.zero)
-
-    gram = {a: {b: on_line(col) for b, col in ad.items()}
+    gram = {a: {b: col.get(wpiv, f.zero) for b, col in ad.items()}
             for a, ad in enumerate(_ads(L)) if ad}
 
     remaining = [dict(r) for r in complement(z, L.full_space()).rows()]

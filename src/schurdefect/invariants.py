@@ -117,18 +117,29 @@ def upper_central_series(L: LieAlgebra) -> list[Subspace]:
     the first repeat or L itself (Z_0 = 0 is not listed). Same objects as
     the quotient-preimage description.
 
-    Each term after the center is `annihilator(L, Z_i)`: Z_i is an ideal, so
-    the term is grown from Z_i alone, on the columns off Z_i's pivots, never
-    solved again over all of L."""
+    Each term after the center is `annihilator(L, Z_i, G)`: Z_i is an ideal,
+    so the term is grown from Z_i alone, on the columns off Z_i's pivots,
+    never solved again over all of L. For nilpotent L, G is the span of the
+    unit vectors e_c with c off L^2's pivots: L = L^2 + G, and a complement
+    of L^2 generates a nilpotent L. If [x, g] lies in the ideal W for
+    every generator g, then so does [x, [g, h]] = [[x, g], h] + [g, [x, h]],
+    so {x : [x, G] in W} = ann(W). The lemma needs nilpotency, and G is used
+    only then: for r2 + A(1), [e1, e2] = e2, G is spanned by e1 and e3, and
+    ann(Z, G) would hold e1, which is not in Z_2 = Z."""
     def build(a: LieAlgebra):
         terms: list[Subspace] = []
+        gens = None
+        if is_nilpotent(a):
+            one, pivots = a.field.one, derived_subalgebra(a)._rows
+            gens = Subspace(a.field, a.dim,
+                            {c: {c: one} for c in range(a.dim) if c not in pivots})
         z = center(a)
         # Z_i is an ideal, so Z_{i+1} contains it: a repeat is an equal dim
         while z.dim > (terms[-1].dim if terms else 0):
             terms.append(z)
             if z.is_full():
                 break
-            z = annihilator(a, z)
+            z = annihilator(a, z, gens)
         return terms
     return _cached(L, "ucs", build)
 

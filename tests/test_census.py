@@ -10,6 +10,9 @@ from schurdefect.census import (
     CSV_HEADER,
     _BLOCK,
     _filter_range,
+    _jacobi_blocks,
+    _layout,
+    _zero_test,
     algebra_from_tensor,
     decode_tensor,
     encode_tensor,
@@ -105,6 +108,72 @@ def test_filters_match_real_stack():
     # Jacobi sums and the ad(x) products reach their largest values
     for n, p, lo, hi in [(4, 3, 3 ** 24 - 400, 3 ** 24)]:
         assert _filter_range(n, p, lo, hi) == exact_filter(n, p, lo, hi)
+
+
+def test_zero_test_matches_remainder():
+    # p | x iff x * m mod 2^w < l, for every x below 2^w, through the same
+    # wrapping in-place multiply the Jacobi stage runs
+    import numpy as np
+    assert _zero_test(3, 8) == (171, 86)
+    for w, dtype in ((8, np.uint8), (16, np.uint16)):
+        x = np.arange(1 << w).astype(dtype)
+        for p in (2, 3):
+            mul, lim = _zero_test(p, w)
+            acc = x.copy()
+            acc *= mul
+            assert acc.dtype == dtype
+            assert np.array_equal(acc < lim, x % p == 0), (p, w)
+
+
+def lie_ids(n, p, lo, hi):
+    """The ids lo .. hi - 1 whose tensors pass check_jacobi."""
+    field = GF(p)
+    out = []
+    for tid in range(lo, hi):
+        try:
+            algebra_from_tensor(tid, n, field)
+        except NotALieAlgebra:
+            continue
+        out.append(tid)
+    return out
+
+
+def jacobi_ids(n, p, lo, hi):
+    return [base + int(o) for base, _, offs in _jacobi_blocks(n, p, lo, hi)
+            for o in offs]
+
+
+def test_jacobi_stage_blocks_leave_shared_half():
+    # one range over three blocks, which read the same offsets of the first
+    # triple's shared half: a block that wrote into it would change the
+    # blocks after it
+    for n, p in ((4, 2), (4, 3)):
+        span = p ** _layout(n, p)[1]
+        got = jacobi_ids(n, p, 100, 2 * span + 400)
+        for base in (0, span, 2 * span):
+            lo, hi = base + 100, base + 400
+            want = lie_ids(n, p, lo, hi)
+            assert [i for i in got if lo <= i < hi] == want, (n, p, base)
+            assert 0 < len(want) < hi - lo
+
+
+def test_jacobi_stage_at_uint16_width():
+    # GF(3) n = 11 is the smallest case whose arrays are uint16. Engel's
+    # stage tries every nonzero x in GF(3)^11 while a survivor is nilpotent,
+    # so only the Jacobi stage runs here, against check_jacobi
+    import numpy as np
+    n, p = 11, 3
+    assert _layout(n, p)[1:] == (10, np.uint16)
+    # across the block boundary 3^12, with [e1, e3] = e2 above it; a base
+    # with three nonzero high digits; the same with the top digit, [e10, e11]
+    # at e11, set to 2
+    for lo, hi in [(3 ** 12 - 150, 3 ** 12 + 150),
+                   (3 ** 12 + 7 * 3 ** 15 + 5 * 3 ** 30 - 150,
+                    3 ** 12 + 7 * 3 ** 15 + 5 * 3 ** 30 + 150),
+                   (2 * 3 ** 604 + 3 ** 12 - 150, 2 * 3 ** 604 + 3 ** 12 + 150)]:
+        want = lie_ids(n, p, lo, hi)
+        assert jacobi_ids(n, p, lo, hi) == want, (lo, hi)
+        assert 0 < len(want) < hi - lo
 
 
 def test_parallel_serial_identical():

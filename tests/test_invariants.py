@@ -74,8 +74,15 @@ def test_second_center_examples():
     sl2 = new_algebra(QQ, 3, [((1, 2), {2: 2}), ((1, 3), {3: -2}), ((2, 3), {1: 1})])
     for L in (non_nilpotent_example(), sl2):
         assert second_center(L).dim == 0
+    # r2 + A(1), [e1, e2] = e2: Z = <e3> and Z_2 = Z, though e1 brackets
+    # every unit vector off L^2 = <e2> into Z; a nonzero center, so only the
+    # nilpotency guard on the generators keeps e1 out of Z_2
+    r2a1 = new_algebra(QQ, 3, [((1, 2), {2: 1})])
+    assert center(r2a1).basis == [basis_vec(3, 3)]
+    assert second_center(r2a1).dim == 1
+    assert [s.dim for s in upper_central_series(r2a1)] == [1]
     for L in (catalog.get("L4_3", QQ), catalog.abelian(QQ, 3), sum_alg,
-              catalog.abelian(QQ, 0), non_nilpotent_example(), sl2):
+              catalog.abelian(QQ, 0), non_nilpotent_example(), sl2, r2a1):
         assert second_center(L) == quotient_second_center(L)
 
 
