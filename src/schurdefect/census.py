@@ -23,9 +23,20 @@ into a Python-int coefficient of one low-digit array, and the first triple's
 products of two low digits, the same in every block, are summed once per
 range (the shared half), so each block adds only its high-digit terms to a
 copy of it.
-Rows are always produced by the exact stack, never by the filter. numpy and
-multiprocessing are imported inside the functions that use them, so only a
-census run loads them, not an import of the package.
+
+Rows are produced by the exact stack, never by the filter, once per orbit of
+basis relabelings. Every field of a row (dim L^2, dim Z(L), d, t and the
+t <= 2 verdict) is an isomorphism invariant, and relabeling the basis by a
+permutation of 1 .. n is an isomorphism, so the survivors are walked in id
+order, the exact stack runs on each id no earlier orbit covers, and its row
+is given to every relabeling of it. Every member of an orbit must be a
+survivor, or the census raises: a filter that passed a non-Lie or
+non-nilpotent tensor makes it a representative, on which the exact stack
+raises, and a filter that dropped part of an orbit fails this closure check.
+The filter runs in the worker processes and the rows in the parent, which
+holds the whole survivor set. numpy and multiprocessing are imported inside
+the functions that use them, so only a census run loads them, not an import
+of the package.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import LieAlgebra
 from .classify import classify_t012
 from .errors import BudgetExceeded, echo
-from .fields import Field, GF, PrimeField
+from .fields import Field, PrimeField
 from .invariants import report
 
 CSV_HEADER = "tensor_id,n,dim_derived,dim_center,d,t,verdict"
@@ -184,9 +195,11 @@ def _jacobi_terms(n: int) -> list[list[list[tuple[int, int, int]]]]:
 def _nilpotent(C: np.ndarray, n: int, p: int) -> np.ndarray:
     """Which of the Lie tensors C (N, pairs, n) are nilpotent, by Engel's
     theorem, which holds over any field: L is nilpotent iff ad(x) is
-    nilpotent for every x in L, that is iff ad(x)^n = 0. Every nonzero x in
-    GF(p)^n is tried in turn on the tensors still live, and a tensor is
-    dropped at the first x whose power is nonzero."""
+    nilpotent for every x in L, that is iff ad(x)^n = 0. Since
+    ad(cx)^n = c^n ad(x)^n, x and cx pass or fail together, so one x per
+    line is tried: each nonzero x in GF(p)^n whose first nonzero coordinate
+    is 1, (p^n - 1)/(p - 1) of them, in turn on the tensors still live, and a
+    tensor is dropped at the first x whose power is nonzero."""
     import numpy as np
     B = np.zeros((len(C), n, n, n), dtype=C.dtype)  # [e_i, e_l] at e_m
     for a, (i, j) in enumerate(_pairs(n)):
@@ -194,7 +207,7 @@ def _nilpotent(C: np.ndarray, n: int, p: int) -> np.ndarray:
         B[:, j - 1, i - 1] = (p - C[:, a]) % p
     live = np.arange(len(C))
     for x in itertools.product(range(p), repeat=n):
-        if not any(x):
+        if not any(x) or next(c for c in x if c) != 1:
             continue
         ad = sum(c * B[:, i] for i, c in enumerate(x) if c) % p
         power = ad
@@ -380,18 +393,72 @@ def _filter_range(n: int, p: int, lo: int, hi: int) -> tuple[int, list[int]]:
 # driver
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _relabelings(n: int, p: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """Per non-identity permutation s of 1 .. n (in `itertools.permutations`
+    order), per digit of an id, that is per pair (i, j) and target k: the
+    weight of the digit's place in the relabeled id, at the pair sorted from
+    (s(i), s(j)) and target s(k), and whether the digit is negated, which it
+    is when s(i) > s(j). Relabeling e_i as e_s(i) sends the tensor c to c'
+    with c'(s(i), s(j), s(k)) = c(i, j, k)."""
+    pairs = _pairs(n)
+    pidx = {pq: a for a, pq in enumerate(pairs)}
+    maps = []
+    for s in itertools.permutations(range(1, n + 1)):
+        if s == tuple(range(1, n + 1)):
+            continue
+        digit_map = []
+        for i, j in pairs:
+            si, sj = s[i - 1], s[j - 1]
+            place = pidx[(min(si, sj), max(si, sj))] * n
+            digit_map.extend((p ** (place + s[k - 1] - 1), si > sj)
+                             for k in range(1, n + 1))
+        maps.append(tuple(digit_map))
+    return tuple(maps)
+
+
+def _orbit(tensor_id: int, n: int, p: int) -> list[int]:
+    """The ids of tensor_id relabeled by each permutation of `_relabelings`,
+    in its order; a negated digit r becomes p - r."""
+    digits, t, d = [], tensor_id, 0
+    while t:
+        t, r = divmod(t, p)
+        if r:
+            digits.append((d, r))
+        d += 1
+    return [sum(m[d][0] * (p - r if m[d][1] else r) for d, r in digits)
+            for m in _relabelings(n, p)]
+
+
 def _rows_for_ids(n: int, field: PrimeField, ids) -> list[CensusRow]:
-    rows = []
+    """A CensusRow per id of ids, the census survivors in increasing order.
+
+    The exact stack runs once per orbit of basis relabelings: on each id no
+    earlier orbit covers, the representative, and its row is given to every
+    relabeling of it. Each orbit member must be a survivor."""
+    survivors = set(ids)
+    rows: dict[int, CensusRow] = {}
     for tid in ids:
+        if tid in rows:
+            continue
         L = algebra_from_tensor(tid, n, field)  # re-validates Jacobi
         rep = report(L)
         if rep.t is None:
             raise ArithmeticError(
                 f"tensor {tid} passed the nilpotency filter but is not nilpotent")
         verdict = classify_t012(L).label()
-        rows.append(CensusRow(tid, n, rep.dim_derived, rep.dim_center,
-                              rep.d_central_quotient, rep.t, verdict))
-    return rows
+        fields = (n, rep.dim_derived, rep.dim_center, rep.d_central_quotient,
+                  rep.t, verdict)
+        rows[tid] = CensusRow(tid, *fields)
+        for other in _orbit(tid, n, field.p):
+            if other in rows:
+                continue
+            if other not in survivors:
+                raise ArithmeticError(
+                    f"tensor {other}, a basis relabeling of tensor {tid}, "
+                    f"did not pass the nilpotency filter")
+            rows[other] = CensusRow(other, *fields)
+    return [rows[tid] for tid in ids]
 
 
 def _usable_cpus() -> int:
@@ -401,18 +468,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _census_worker(args):
-    n, p, lo, hi = args
-    lie, ids = _filter_range(n, p, lo, hi)
-    return lie, _rows_for_ids(n, GF(p), ids)
-
-
 def enumerate_algebras(n: int, field: Field, jobs: int = 1,
                        force: bool = False) -> CensusSummary:
     """Iterate every alternating tensor on F^n, filter by Jacobi and
     nilpotency, and report a CensusRow per nilpotent Lie algebra (in
     tensor_id order, identical for any jobs count). At most one worker
-    process runs per usable CPU, whatever `jobs` asks for."""
+    process runs per usable CPU, whatever `jobs` asks for; the workers run
+    the filter, and this process the rows, over the merged survivors."""
     if not isinstance(field, PrimeField) or field.p not in (2, 3):
         raise ValueError("census enumeration supports GF(2) and GF(3) only")
     if n < 1:
@@ -425,19 +487,16 @@ def enumerate_algebras(n: int, field: Field, jobs: int = 1,
     total = tensor_space_size(n, field)
     jobs = max(1, min(int(jobs), _usable_cpus()))
     if jobs == 1 or total < 4 * jobs:
-        results = [_census_worker((n, p, 0, total))]
+        results = [_filter_range(n, p, 0, total)]
     else:
         step = -(-total // jobs)
         ranges = [(n, p, lo, min(lo + step, total))
                   for lo in range(0, total, step)]
         import multiprocessing
         with multiprocessing.Pool(len(ranges)) as pool:
-            results = pool.map(_census_worker, ranges)
-    lie_count = 0
-    rows: list[CensusRow] = []
-    for lie, chunk in results:
-        lie_count += lie
-        rows.extend(chunk)
+            results = pool.starmap(_filter_range, ranges)
+    lie_count = sum(lie for lie, _ in results)
+    rows = _rows_for_ids(n, field, [tid for _, ids in results for tid in ids])
     tallies: dict[int, int] = {}
     for row in rows:
         tallies[row.t] = tallies.get(row.t, 0) + 1

@@ -1,17 +1,20 @@
 import dataclasses
+import itertools
 import multiprocessing
 import random
 
 import pytest
 
 import schurdefect.census as census
-from schurdefect.algebra import LieAlgebra
+from schurdefect.algebra import LieAlgebra, change_basis
 from schurdefect.census import (
     CSV_HEADER,
     _BLOCK,
+    CensusRow,
     _filter_range,
     _jacobi_blocks,
     _layout,
+    _orbit,
     _zero_test,
     algebra_from_tensor,
     decode_tensor,
@@ -21,8 +24,10 @@ from schurdefect.census import (
     verify_bounds,
 )
 from schurdefect.errors import BudgetExceeded, NotALieAlgebra
+from schurdefect.classify import classify_t012
 from schurdefect.fields import GF, QQ
-from schurdefect.invariants import is_nilpotent
+from schurdefect.invariants import is_nilpotent, report
+from schurdefect.linalg import Matrix
 
 
 def test_encode_decode_bijective():
@@ -176,10 +181,109 @@ def test_jacobi_stage_at_uint16_width():
         assert 0 < len(want) < hi - lo
 
 
+def exact_rows(n, p, ids):
+    """A CensusRow per id by the exact stack, one tensor at a time."""
+    field = GF(p)
+    rows = []
+    for tid in ids:
+        L = algebra_from_tensor(tid, n, field)
+        rep = report(L)
+        rows.append(CensusRow(tid, n, rep.dim_derived, rep.dim_center,
+                              rep.d_central_quotient, rep.t,
+                              classify_t012(L).label()))
+    return rows
+
+
+def test_orbit_rows_match_exact_stack(monkeypatch):
+    # the census runs the exact stack once per relabeling orbit and copies
+    # its row to the orbit; every row must be the one the exact stack gives
+    # that tensor, and the stack must run once per orbit: 55 of them among
+    # the 736 GF(2) n = 4 survivors, 6 among the 27 GF(3) n = 3 ones. At
+    # GF(2) n = 3 the 7 Heisenberg tensors [x, y] = B(x, y) r, r spanning
+    # B's radical, fall into 3 orbits by the weight of r, plus the abelian one
+    runs = []
+    monkeypatch.setattr(census, "report", lambda L: runs.append(L) or report(L))
+    for n, p, orbits in ((2, 2, 1), (3, 2, 4), (4, 2, 55), (2, 3, 1), (3, 3, 6)):
+        runs.clear()
+        s = enumerate_algebras(n, GF(p), force=True)
+        ids = _filter_range(n, p, 0, tensor_space_size(n, GF(p)))[1]
+        assert s.rows == exact_rows(n, p, ids), (n, p)
+        assert len(runs) == orbits, (n, p)
+
+
+def test_relabeling_matches_change_basis():
+    # relabeling e_i as e_s(i) is the base change whose column s(i) is e_i;
+    # each relabeled id must decode to that base change's bracket table
+    rng = random.Random(83)
+    field3 = GF(3)
+    # 2-digits, so that a digit negated by s(i) > s(j) becomes p - r
+    twos = [encode_tensor(3, field3, {(1, 2): {3: 2}}),
+            encode_tensor(3, field3, {(1, 3): {2: 2}, (2, 3): {1: 1}})]
+    swap23, swap12 = _orbit(twos[0], 3, 3)[:2]
+    assert swap23 == encode_tensor(3, field3, {(1, 3): {2: 2}})
+    # [e2, e1] = 2 e3, that is [e1, e2] = e3
+    assert swap12 == encode_tensor(3, field3, {(1, 2): {3: 1}})
+    for p, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+        field = GF(p)
+        ids = list(twos) if (p, n) == (3, 3) else []
+        while len(ids) < 12:
+            tid = rng.randrange(tensor_space_size(n, field))
+            try:
+                algebra_from_tensor(tid, n, field)
+            except NotALieAlgebra:
+                continue
+            ids.append(tid)
+        perms = [s for s in itertools.permutations(range(n))
+                 if s != tuple(range(n))]
+        for tid in ids:
+            L = algebra_from_tensor(tid, n, field)
+            relabeled = _orbit(tid, n, p)
+            assert len(relabeled) == len(perms)
+            for s, other in zip(perms, relabeled):
+                P = Matrix(field, [[int(s[i] == j) for j in range(n)]
+                                   for i in range(n)])
+                assert (algebra_from_tensor(other, n, field).brackets
+                        == change_basis(L, P).brackets), (p, n, tid, s)
+
+
+def test_rows_check_orbit_closure(monkeypatch):
+    # a filter that drops one member of an orbit: the representative's
+    # relabeling names it
+    ids = _filter_range(3, 2, 0, 512)[1]
+    rep, dropped = next((r, o) for r in ids for o in _orbit(r, 3, 2)
+                        if o > r and o in ids)
+    survivors = [tid for tid in ids if tid != dropped]
+    monkeypatch.setattr(census, "_filter_range",
+                        lambda n, p, lo, hi: (120, survivors))
+    with pytest.raises(ArithmeticError,
+                       match=f"tensor {dropped}, a basis relabeling of tensor {rep},"):
+        enumerate_algebras(3, GF(2))
+
+
+def test_rows_reject_filter_false_positives(monkeypatch):
+    # a survivor that is not Lie, or Lie but not nilpotent, is the
+    # representative of its own orbit, and the exact stack raises on it
+    field = GF(2)
+    ids = _filter_range(3, 2, 0, 512)[1]
+    lie = set(lie_ids(3, 2, 0, 512))
+    not_lie = next(t for t in range(512) if t not in lie)
+    solvable = encode_tensor(3, field, {(1, 2): {1: 1}})  # [e1, e2] = e1
+    assert not is_nilpotent(algebra_from_tensor(solvable, 3, field))
+    for extra, error, text in (
+            (not_lie, NotALieAlgebra, "Jacobi identity fails"),
+            (solvable, ArithmeticError,
+             f"tensor {solvable} passed the nilpotency filter but is not nilpotent")):
+        survivors = sorted(ids + [extra])
+        monkeypatch.setattr(census, "_filter_range",
+                            lambda n, p, lo, hi: (121, survivors))
+        with pytest.raises(error, match=text):
+            enumerate_algebras(3, field)
+
+
 def test_parallel_serial_identical():
-    for field, jobs in ((GF(2), 2), (GF(3), 3)):
-        serial = enumerate_algebras(3, field, jobs=1)
-        parallel = enumerate_algebras(3, field, jobs=jobs)
+    for n, field, jobs in ((3, GF(2), 2), (3, GF(3), 3), (4, GF(2), 2)):
+        serial = enumerate_algebras(n, field, jobs=1)
+        parallel = enumerate_algebras(n, field, jobs=jobs)
         assert serial.csv_lines() == parallel.csv_lines()
         assert serial.lie_count == parallel.lie_count
         assert serial.candidates == parallel.candidates

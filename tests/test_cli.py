@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -108,13 +109,20 @@ def test_enumerate(capsys, tmp_path):
     assert len(lines) == 9
 
 
-def test_enumerate_dim4_full(capsys):
+# SHA-256 of the GF(2) n = 4 census CSV, as first written by a census that
+# ran the exact stack on every one of its 736 rows
+DIM4_CSV_SHA256 = "a3538281c4d9c013e1f7e6834ed0253003a0ae1c0806c439f1fbaba5ad02ab28"
+
+
+def test_enumerate_dim4_full(capsys, tmp_path):
+    csv = tmp_path / "census.csv"
     code, out, _ = run(capsys, "enumerate", "--dim", "4", "--field", "gf:2",
-                       "--verify", "--jobs", "4")
+                       "--verify", "--jobs", "4", "--out", str(csv))
     assert code == 0
     assert "16777216 candidates" in out
     assert "736 nilpotent" in out
     assert "[pass]" in out
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == DIM4_CSV_SHA256
 
 
 def test_enumerate_rejects_rationals(capsys):
