@@ -207,8 +207,8 @@ def _pair_brackets(L: LieAlgebra, vs) -> dict:
 
 def _bracket_table(L: LieAlgebra, vecs, cols: dict) -> BracketTable:
     """Structure constants on `vecs` (sparse): each nonzero [v_a, v_b] read
-    back as coordinates {k: c} (0-based) by `cols`, the sparse columns of
-    the map from L's coordinates to the new ones (a projection, or P^-1)."""
+    back as coordinates {k: c} (0-based) by `cols`, the sparse columns of a
+    map exact on the brackets: a projection, P^-1, or echelon pivots."""
     p = L.field.characteristic
     table: BracketTable = {}
     for (a, b), w in _pair_brackets(L, vecs).items():

@@ -11,13 +11,14 @@ report: adding A(k) moves each of its fields by k or leaves it alone, so L
 is matched against the reference T + A(k) and the stem T is never reported
 on.
 
-The stem witness is a base change of L (the stem's basis, then the central
-complement's), so its source is T + A(k) with no separate sum to build.
-Brackets of vectors come from the algebra module's pair-bracket primitive
-(base change, the witness checks); the Heisenberg form is read once off the
-cached ad table. The symplectic reduction works on the sparse rows of a
-complement of the center, and each witness is a `Matrix` built from sparse
-columns, so no vector goes through a dense list. There is no numpy here.
+The stem decomposition inverts no matrix: T's rows are echelon,
+[T, T] ⊆ L^2 ⊆ T and A is central, so T's table, which is also that of the
+witness source T + A(k), is read at T's pivots. Brackets of vectors come
+from the algebra module's pair-bracket primitive; the Heisenberg form is
+read once off the cached ad table. The symplectic reduction works on the
+sparse rows of a complement of the center, and each witness is a `Matrix`
+built from sparse columns, so no vector goes through a dense list. There is
+no numpy here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .algebra import (
     Homomorphism,
     LieAlgebra,
     _ads,
-    change_basis,
+    _bracket_table,
     direct_sum,
 )
 from .catalog import abelian, get as catalog_get, heisenberg
@@ -92,30 +93,27 @@ _LABELS = {
 def stem_decomposition(L: LieAlgebra) -> tuple[LieAlgebra, int, Homomorphism]:
     """Split L = T + A(k) with A central and Z(T) = L^2 ∩ Z(L).
 
-    A is the pivot-rule complement of L^2 ∩ Z(L) inside Z(L); T is the
-    complement of A containing L^2. The witness is the base change P whose
-    columns are the basis rows of T and then of A: its source, L conjugated
-    by P, is T + A(k), since A is central. Returns (T, k, witness) with T
-    read off the first dim T basis vectors of that source; `_make` rejects a
-    target past dim T, so T is a subalgebra of a validated Lie algebra, Lie
-    by construction, and Jacobi is not checked again.
+    A is the pivot-rule complement of L^2 ∩ Z(L) inside Z(L), and T is L^2
+    plus the pivot-rule complement of L^2 + Z(L) = L^2 + A. T's rows are
+    echelon and [T, T] ⊆ L^2 ⊆ T, so a bracket of two rows has its
+    T-coordinates at T's pivots; A is central. That one table gives T and
+    the witness source T + A(k), mapped onto L by P (columns: T's rows,
+    then A's). Returns (T, k, witness); T is a subalgebra of a validated
+    Lie algebra, so Jacobi is not checked again.
     """
     f = L.field
-    full = L.full_space()
     z = center(L)
     l2 = derived_subalgebra(L)
-    zl2 = subspace_intersect(l2, z)
-    a_part = complement(zl2, z)
-    spanned = subspace_sum(l2, a_part)
-    extra = complement(spanned, full)
+    a_part = complement(subspace_intersect(l2, z), z)
+    extra = complement(subspace_sum(l2, z), L.full_space())
     t_space = subspace_sum(l2, extra)
-    q = t_space.dim
+    at_pivots = {pc: {a: f.one} for a, pc in enumerate(t_space.pivots)}
+    table = _bracket_table(L, t_space.rows(), at_pivots)
     columns = t_space.rows() + a_part.rows()
     P = Matrix._from_columns(f, L.dim, L.dim, dict(enumerate(columns)))
-    source = change_basis(L, P)
     name = f"stem({L.name})" if L.name else None
-    T = LieAlgebra._make(f, q, source.brackets, name)
-    return T, a_part.dim, Homomorphism(source, L, P)
+    T = LieAlgebra._make(f, t_space.dim, table, name)
+    return T, a_part.dim, Homomorphism(LieAlgebra._make(f, L.dim, table), L, P)
 
 
 def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_invertible, textbook_bracket, textbook_matvec
 from schurdefect import catalog
-from schurdefect.algebra import change_basis, direct_sum
+from schurdefect.algebra import change_basis, direct_sum, new_algebra
 from schurdefect.classify import (
     ABELIAN,
     COUNTEREXAMPLE,
@@ -22,7 +22,7 @@ from schurdefect.classify import (
 from schurdefect.errors import DerivedNotLine, NotNilpotent
 from schurdefect.fields import GF, QQ
 from schurdefect.invariants import center, derived_subalgebra, report, t_invariant
-from schurdefect.linalg import Subspace, subspace_intersect, subspace_sum
+from schurdefect.linalg import Matrix, Subspace, subspace_intersect, subspace_sum
 from schurdefect.verification import classification_failures
 
 
@@ -30,6 +30,14 @@ def image_of(witness, q_from, q_to):
     """Subspace of the target spanned by witness columns [q_from, q_to)."""
     cols = [witness.matrix.col(c) for c in range(q_from, q_to)]
     return Subspace.from_vectors(witness.target.field, witness.target.dim, cols)
+
+
+def is_isomorphism(witness):
+    """Bracket-preserving and of full rank; `is_bracket_preserving` alone
+    does not test the rank."""
+    W = witness.matrix
+    rank = Subspace.from_vectors(W.field, W.nrows, W.columns().values()).dim
+    return witness.is_bracket_preserving() and rank == W.nrows == W.ncols
 
 
 def test_stem_of_l43_plus_a2():
@@ -76,6 +84,53 @@ def test_stem_lemma_claims():
         assert zt_in_l == subspace_intersect(derived_subalgebra(L), z)
         assert t_invariant(L) == t_invariant(T)
         assert witness.is_bracket_preserving()
+
+
+def test_stem_table_matches_change_basis():
+    # the stem table is read at T's pivots; the oracle conjugates L by the
+    # witness's full base change through its inverse
+    rng = random.Random(83)
+    cases = [new_algebra(QQ, 3, [((1, 2), {2: 2}), ((1, 3), {3: -2}), ((2, 3), {1: 1})]),
+             new_algebra(QQ, 3, [((1, 2), {2: 1})])]  # sl2, r2 + A(1)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for e in catalog.list_all(field):
+            stem = catalog.get(e.key, field, catalog.default_param(e, field))
+            for k in range(3):
+                L = direct_sum(stem, catalog.abelian(field, k))
+                cases += [change_basis(L, random_invertible(field, L.dim, rng))
+                          for _ in range(2)]
+    for L in cases:
+        T, k, witness = stem_decomposition(L)
+        source = witness.source
+        assert source.brackets == change_basis(L, witness.matrix).brackets
+        assert T.brackets == source.brackets
+        assert (T.dim + k, source.dim) == (L.dim, L.dim)
+
+
+def test_classification_inverts_no_matrix(monkeypatch):
+    # the base changes that build the cases invert, so they come first
+    rng = random.Random(89)
+    cases = []
+    for field in (QQ, GF(2), GF(3)):
+        for key, k in (("L4_3", 2), ("L5_5", 1), ("L5_6", 0), ("L5_7", 3)):
+            L = direct_sum(catalog.get(key, field), catalog.abelian(field, k))
+            M = change_basis(L, random_invertible(field, L.dim, rng))
+            cases.append((M, f"{key}+A({k})"))
+
+    def no_inverse(self):
+        raise AssertionError("classification inverted a matrix")
+
+    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    for M, label in cases:
+        res = classify_t012(M)
+        assert res.label() == label
+        assert is_isomorphism(res.witness)
+
+
+def test_classify_with_a_large_central_summand():
+    res = classify_t012(direct_sum(catalog.get("L5_6", QQ), catalog.abelian(QQ, 300)))
+    assert res.label() == "L5_6+A(300)"
+    assert is_isomorphism(res.witness)
 
 
 def test_recognize_heisenberg_base_changed():
@@ -184,7 +239,6 @@ def test_no_counterexample_on_catalog():
 
 
 def test_classify_requires_nilpotent():
-    from schurdefect.algebra import new_algebra
     bad = new_algebra(QQ, 2, [((1, 2), {2: 1})])
     with pytest.raises(NotNilpotent):
         classify_t012(bad)
