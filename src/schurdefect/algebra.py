@@ -10,11 +10,10 @@ returns (1 <= i < j <= dim, targets in 1..dim, non-empty rhs of nonzero
 scalars, each through `Field.coerce`); `_make` skips only the Jacobi check.
 
 The structure constants are read one way: each algebra caches ad(e_i) for
-every basis index as sparse columns {l: [e_i, e_l]} (`_ad_table`). `_ad`
-reads ad(v) from that table, and a bracket of two vectors is ad(v) applied
-to the other (`_apply`) in `bracket`, `product_subspace` and
-`_pair_brackets` (every pair a < b of one list); `check_jacobi` and the
-Heisenberg form in `classify` read the cached columns directly. Vectors are
+every index as sparse 0-based columns {l: [e_i, e_l]} (`_ads`), and the
+table is otherwise only copied, compared and written. A bracket of two
+vectors is ad(v) (`_ad`) applied to the other (`_apply`); `check_jacobi`,
+`is_bracket_preserving` and `classify` read the cached columns. Vectors are
 the canonical sparse dicts of `linalg`, and an outside one (to `bracket` or
 `adjoint_matrix`) is checked by `linalg._vector`. Every map (base change,
 its inverse, projection, adjoint, homomorphism) is a `Matrix` read and built
@@ -219,28 +218,29 @@ def _bracket_table(L: LieAlgebra, vecs, cols: dict) -> BracketTable:
 
 
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
-    """All violating basis triples (i, j, k), i < j < k; empty means valid.
-
-    A term [e_c, [e_a, e_b]] can be nonzero only when (a, b) is a stored
-    pair and e_c brackets nontrivially with one of its targets, so only
-    those triples are candidates, not all C(n, 3). Each term is ad(e_c)
-    applied to column b of ad(e_a), both read from the ad table; the three
-    terms are summed and reduced mod p once.
+    """All violating basis triples (i, j, k), i < j < k, 1-based; empty
+    means valid. The ad table is read 0-based: a term [e_c, [e_a, e_b]] can
+    be nonzero only when column b > a of ad(e_a) is nonzero and e_c brackets
+    nontrivially with one of its targets, so only those triples are
+    candidates, not all C(n, 3). Each term is ad(e_c) applied to that
+    column; the three are summed and reduced mod p once, and a violating
+    triple is shifted to 1-based when it is listed.
     """
     p = L.field.characteristic
     ads = _ads(L)
-    candidates = {tuple(sorted((a, b, c + 1))) for (a, b), cs in L.brackets.items()
-                  for k in cs for c in ads[k - 1] if c + 1 not in (a, b)}
+    candidates = {tuple(sorted((a, b, c))) for a, ad in enumerate(ads)
+                  for b, col in ad.items() if a < b
+                  for k in col for c in ads[k] if c != a and c != b}
     bad = []
     for (i, j, k) in sorted(candidates):
         acc: dict = {}
         for c, a, b in ((i, j, k), (j, k, i), (k, i, j)):
-            outer = ads[c - 1]
-            for l, x in ads[a - 1].get(b - 1, {}).items():
+            outer = ads[c]
+            for l, x in ads[a].get(b, {}).items():
                 for m, y in outer.get(l, {}).items():
                     acc[m] = acc.get(m, 0) + x * y
         if _reduced(acc, p):
-            bad.append((i, j, k))
+            bad.append((i + 1, j + 1, k + 1))
     return bad
 
 
@@ -258,7 +258,9 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
 
 
 def product_subspace(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """[U, V]: canonical span of all brackets of basis vectors."""
+    """[U, V]: canonical span of all brackets of basis vectors. [L, V] =
+    [V, L], so a full U is swapped to the right, and [U, L] is spanned by
+    the nonzero columns of ad(x) over the rows x of U."""
     L.field.check_same(u.field)
     L.field.check_same(v.field)
     if u.ambient_dim != L.dim or v.ambient_dim != L.dim:
@@ -266,20 +268,14 @@ def product_subspace(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     if u.dim == 0 or v.dim == 0:
         return Subspace.zero(L.field, L.dim)
     if u.is_full():
-        vectors = _brackets_with_full(L, v)
-    elif v.is_full():
-        vectors = _brackets_with_full(L, u)
+        u, v = v, u
+    if v.is_full():
+        vectors = [col for x in u.rows() for col in _ad(L, x).values()]
     else:
         p = L.field.characteristic
         vectors = [w for x in u.rows() if (ad := _ad(L, x))
                    for y in v.rows() if (w := _apply(ad, y, p))]
     return Subspace(L.field, L.dim, _rref_rows(L.field, vectors))
-
-
-def _brackets_with_full(L: LieAlgebra, v: Subspace):
-    """Spanning set of [L, V]: the nonzero columns of ad(w) over the sparse
-    basis rows w of V."""
-    return [col for w in v.rows() for col in _ad(L, w).values()]
 
 
 def quotient(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, "Homomorphism"]:
@@ -350,19 +346,22 @@ class Homomorphism:
 
     def is_bracket_preserving(self) -> bool:
         """phi([x,y]) = [phi(x), phi(y)] checked on all basis pairs: phi
-        applied to the source table against the target's brackets of the
-        columns of phi."""
+        applied to column b > a of ad(e_a) in the source's ad table against
+        the target's brackets of the columns of phi. Brackets only, not the
+        rank: a homomorphism need not be injective, so the zero map passes."""
         p = self.source.field.characteristic
         cols = self.matrix.columns()
         images = {}
-        for (i, j), cs in self.source.brackets.items():
-            img = _apply(cols, {k - 1: c for k, c in cs.items()}, p)
-            if img:
-                images[(i - 1, j - 1)] = img
+        for a, ad in enumerate(_ads(self.source)):
+            for b, col in ad.items():
+                if a < b and (img := _apply(cols, col, p)):
+                    images[(a, b)] = img
         return images == _pair_brackets(
             self.target, [cols.get(j, {}) for j in range(self.matrix.ncols)])
 
     def check(self) -> "Homomorphism":
+        """self if brackets are preserved (NotALieAlgebra otherwise); only
+        brackets are tested, as a homomorphism need not be injective."""
         if not self.is_bracket_preserving():
             raise NotALieAlgebra("map is not a Lie algebra homomorphism")
         return self

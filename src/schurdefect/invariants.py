@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, _ad, _ads, product_subspace
+from .algebra import LieAlgebra, _ad, product_subspace
 from .errors import NotNilpotent
 from .linalg import Subspace, null_space, subspace_sum
 
@@ -58,27 +58,26 @@ def annihilator(L: LieAlgebra, W: Subspace | None = None,
 
     [W, U] lies in the ideal W, so W lies in the result, and x is solved for
     only on the columns C off W's pivots: L = W + span(e_c : c in C). The
-    conditions come from u = e_b, b in C, when U is L (e_b in W gives none),
-    and from U's rows, through `_ad`, otherwise. Each column [u, e_c], c in
-    C, is reduced modulo W by `W._remainder`, and entry k of the remainder
-    gives one equation sum_c x_c [u, e_c]_k = 0, as [x, u] = -[u, x] flips
-    every sign alike. `null_space` solves the equations on C only and
-    starts the kernel that spans the solutions from W.
+    conditions come from U's rows u through `_ad` (U = L gives the unit
+    rows; at a pivot b of W, e_b = w + sum_c a_c e_c with [x, w] in W, so
+    e_b's equations follow from those of the e_c). Each column [u, e_c], c
+    in C, is reduced modulo W by `W._remainder`, and entry k of the
+    remainder gives one equation sum_c x_c [u, e_c]_k = 0, as [x, u] =
+    -[u, x] flips every sign alike. `null_space` solves the equations on C
+    only and starts the kernel that spans the solutions from W.
     """
     f, n = L.field, L.dim
     W = Subspace.zero(f, n) if W is None else W
+    U = L.full_space() if U is None else U
     for s in (W, U):
-        if s is not None:
-            f.check_same(s.field)
-            if s.ambient_dim != n:
-                raise ValueError("subspace ambient dimension must equal the algebra dimension")
+        f.check_same(s.field)
+        if s.ambient_dim != n:
+            raise ValueError("subspace ambient dimension must equal the algebra dimension")
     pivots, remainder = W._rows, W._remainder
     off = [c for c in range(n) if c not in pivots]
-    ads = _ads(L)
-    ad_us = [ads[b] for b in off] if U is None else [_ad(L, u) for u in U.rows()]
     system: dict[tuple, dict] = {}  # (u, k) -> {c: coefficient of x_c}
-    for a, ad_u in enumerate(ad_us):
-        for c, col in ad_u.items():
+    for a, u in enumerate(U.rows()):
+        for c, col in _ad(L, u).items():
             if c not in pivots:
                 for k, x in remainder(col).items():
                     system.setdefault((a, k), {})[c] = x

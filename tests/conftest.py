@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random scalars, vectors and base changes, a
 canonical-row predicate, the golden corpus, dense textbook brackets,
 products, Gauss-Jordan, annihilators and the quotient-preimage second center
-as oracles, and algebra documents of a given bracket count."""
+as oracles, an isomorphism test for witnesses, and algebra documents of a
+given bracket count."""
 
 from fractions import Fraction
 from itertools import combinations, islice
@@ -10,7 +11,7 @@ from schurdefect import catalog
 from schurdefect.algebra import direct_sum, quotient
 from schurdefect.fields import QQ, PrimeField
 from schurdefect.invariants import center
-from schurdefect.linalg import Matrix, preimage
+from schurdefect.linalg import Matrix, Subspace, preimage
 
 
 def random_scalar(field, rng, zero_ok=True):
@@ -176,6 +177,14 @@ def textbook_annihilator(L, W, U):
             v[pc] = field.neg(r[c])
         kernel.append(v[:n])
     return textbook_rref(field, kernel, n)[0]
+
+
+def is_isomorphism(witness):
+    """Bracket-preserving and of full rank; `is_bracket_preserving` alone
+    does not test the rank, as a homomorphism need not be injective."""
+    W = witness.matrix
+    rank = Subspace.from_vectors(W.field, W.nrows, W.columns().values()).dim
+    return witness.is_bracket_preserving() and rank == W.nrows == W.ncols
 
 
 def quotient_second_center(L):

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    is_isomorphism,
     random_invertible,
     random_scalar,
     random_vector,
@@ -256,6 +257,8 @@ def test_product_subspace_general_matches_full_fast_path():
             [bracket(L, list(a), list(b)) for a in full.basis
              for b in arbitrary.basis])
         assert fast == slow
+        # [V, L] = [L, V]: a full right factor reads the same span
+        assert product_subspace(L, arbitrary, full) == slow
 
 
 def test_quotient_by_center():
@@ -480,3 +483,13 @@ def test_homomorphism_check_raises_on_bad_map():
     assert not bad.is_bracket_preserving()
     with pytest.raises(NotALieAlgebra):
         bad.check()
+
+
+def test_homomorphism_check_tests_brackets_not_rank():
+    # a homomorphism need not be injective: the zero map passes the check,
+    # so a classification witness needs the rank test of is_isomorphism too
+    H = catalog.heisenberg(QQ, 1)
+    zero = Homomorphism(H, H, Matrix.zeros(QQ, 3, 3))
+    assert zero.check() is zero
+    assert not is_isomorphism(zero)
+    assert is_isomorphism(Homomorphism(H, H, Matrix.identity(QQ, 3)))

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_invertible, textbook_bracket, textbook_matvec
+from conftest import is_isomorphism, random_invertible, textbook_bracket, textbook_matvec
 from schurdefect import catalog
 from schurdefect.algebra import change_basis, direct_sum, new_algebra
 from schurdefect.classify import (
@@ -32,21 +32,13 @@ def image_of(witness, q_from, q_to):
     return Subspace.from_vectors(witness.target.field, witness.target.dim, cols)
 
 
-def is_isomorphism(witness):
-    """Bracket-preserving and of full rank; `is_bracket_preserving` alone
-    does not test the rank."""
-    W = witness.matrix
-    rank = Subspace.from_vectors(W.field, W.nrows, W.columns().values()).dim
-    return witness.is_bracket_preserving() and rank == W.nrows == W.ncols
-
-
 def test_stem_of_l43_plus_a2():
     L = direct_sum(catalog.get("L4_3", QQ), catalog.abelian(QQ, 2))
     T, k, witness = stem_decomposition(L)
     assert k == 2
     assert T.dim == 4
     assert report(T) == report(catalog.get("L4_3", QQ))
-    assert witness.is_bracket_preserving()
+    assert is_isomorphism(witness)
 
 
 def test_stem_of_abelian_and_heisenberg():
@@ -83,7 +75,7 @@ def test_stem_lemma_claims():
             QQ, L.dim, [witness.apply(list(v) + [QQ.zero] * k) for v in zt.basis])
         assert zt_in_l == subspace_intersect(derived_subalgebra(L), z)
         assert t_invariant(L) == t_invariant(T)
-        assert witness.is_bracket_preserving()
+        assert is_isomorphism(witness)
 
 
 def test_stem_table_matches_change_basis():
@@ -140,7 +132,7 @@ def test_recognize_heisenberg_base_changed():
         M = change_basis(built, random_invertible(QQ, 9, rng))
         m, k, witness = recognize_heisenberg(M)
         assert (m, k) == (3, 2)
-        assert witness.is_bracket_preserving()
+        assert is_isomorphism(witness)
         assert witness.source.dim == 9
 
 
@@ -168,7 +160,7 @@ def test_heisenberg_witness_by_textbook_bracket():
 def test_recognize_heisenberg_identity_case():
     m, k, witness = recognize_heisenberg(catalog.heisenberg(QQ, 1))
     assert (m, k) == (1, 0)
-    assert witness.is_bracket_preserving()
+    assert is_isomorphism(witness)
 
 
 def test_recognize_requires_derived_line():

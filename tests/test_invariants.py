@@ -321,9 +321,23 @@ def test_annihilator_brute_force():
 
 def test_annihilator_matches_textbook_kernel():
     # the zero ideal and each UCS term as W, against the dense kernel; with
-    # W = Z(L) and U a random line, U need not contain W
+    # W = Z(L) and U a random line, U need not contain W. On non-nilpotent
+    # algebras the series takes the default U = L with W != 0, whose rows at
+    # W's pivots add only implied equations: r2 + H(1) has Z = <z> and then
+    # Z_2 = H(1), r2 + A(1) stops at Z = A(1), and sl2 has Z = 0
     rng = random.Random(79)
     for field in (QQ, GF(5)):
+        r2 = new_algebra(field, 2, [((1, 2), {2: 1})])
+        sl2 = new_algebra(field, 3, [((1, 2), {2: 2}), ((1, 3), {3: -2}), ((2, 3), {1: 1})])
+        for L, dims in ((direct_sum(r2, catalog.heisenberg(field, 1)), [1, 3]),
+                        (direct_sum(r2, catalog.abelian(field, 1)), [1]), (sl2, [])):
+            full = L.full_space()
+            ucs = upper_central_series(L)
+            assert [w.dim for w in ucs] == dims
+            for W in [Subspace.zero(field, L.dim)] + ucs:
+                got = annihilator(L, W)
+                assert got.basis == textbook_annihilator(L, W, full), (L, W)
+                assert got == annihilator(L, W, full)
         for entry in catalog.list_all(field):
             base = catalog.get(entry.key, field, catalog.default_param(entry, field))
             for L in (base, change_basis(base, random_invertible(field, base.dim, rng))):

@@ -26,6 +26,37 @@ def test_only_census_imports_numpy():
     assert users == {"census.py"}
 
 
+# the only functions that read a bracket table (`.brackets`) directly: the
+# ad table is built from it, and past that it is only copied, compared and
+# written out
+_TABLE_READERS = {("algebra.py", "_ads"), ("algebra.py", "LieAlgebra.__eq__"),
+                  ("algebra.py", "LieAlgebra.__hash__"), ("algebra.py", "direct_sum"),
+                  ("serialize.py", "algebra_to_document"), ("serialize.py", "dumps")}
+
+
+def _attribute_loads(node, attr, scope=""):
+    """(scope, line) of each read of `.attr` under `node`, the scope being
+    the dotted names of the enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_loads(child, attr, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == attr
+                and isinstance(child.ctx, ast.Load)):
+            yield scope, child.lineno
+        yield from _attribute_loads(child, attr, scope)
+
+
+def test_only_the_ad_table_reads_the_structure_constants():
+    # every other reader goes through the cached ad table (`algebra._ads`),
+    # so the structure constants are read one way, 0-based
+    stray = [(path.name, scope, line) for path in sorted(SRC.glob("*.py"))
+             for scope, line in _attribute_loads(
+                 ast.parse(path.read_text(), filename=str(path)), "brackets")
+             if (path.name, scope) not in _TABLE_READERS]
+    assert not stray
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy is most of the package's import time and only a census needs
     # it; multiprocessing only a census that starts workers
