@@ -39,7 +39,7 @@ def _attribute_loads(node, attr, scope=""):
     the dotted names of the enclosing classes and functions."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _attribute_loads(child, attr, f"{scope}.{child.name}".lstrip("."))
+            yield from _attribute_loads(child, attr, f"{scope}.{child.name}" if scope else child.name)
             continue
         if (isinstance(child, ast.Attribute) and child.attr == attr
                 and isinstance(child.ctx, ast.Load)):
