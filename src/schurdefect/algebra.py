@@ -18,14 +18,26 @@ the canonical sparse dicts of `linalg`, and an outside one (to `bracket` or
 `adjoint_matrix`) is checked by `linalg._vector`. Every map (base change,
 its inverse, projection, adjoint, homomorphism) is a `Matrix` read and built
 as sparse columns, so none is converted through dense lists.
-There is no numpy here.
+
+The three bilinear primitives, `_ad`, `_pair_brackets` and `check_jacobi`,
+sum in Python ints on every field. They read the ad table through its
+integral view (`_int_ads`): the table times e, the lcm of its denominators,
+derived from the cached table at most once and the table itself when e = 1,
+as over GF(p). Each rational vector is scaled once to integer numerators
+over the lcm of its own denominators (`linalg._numerators`), and each
+result entry is divided once by the product of the denominators
+(`linalg._reduced`), so every result is canonical as before and no
+Fraction is multiplied or added. There is no numpy here.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import NotALieAlgebra, NotAnIdeal
 from .fields import Field
-from .linalg import Matrix, Subspace, _apply, _dense, _reduced, _rref_rows, _vector
+from .linalg import (Matrix, Subspace, _apply, _dense, _numerators, _reduced, _rref_rows,
+                     _vector)
 
 BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero, canonical
 
@@ -68,7 +80,10 @@ class LieAlgebra:
         return cls(field, dim, brackets, name, _validated=True)
 
     def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
+        """L as a subspace of itself, built once (subspaces are immutable)."""
+        if (full := self._cache.get("full")) is None:
+            full = self._cache["full"] = Subspace.full(self.field, self.dim)
+        return full
 
     def __eq__(self, other):
         """Structural equality: same field, dimension and bracket table."""
@@ -168,39 +183,72 @@ def _ads(L: LieAlgebra) -> list[dict]:
     return ads
 
 
+def _int_ads(L: LieAlgebra) -> tuple[list[dict], int]:
+    """The integral view (ads, e) of L's ad table: e is the lcm of the
+    denominators of its constants and ads the table times e, built at most
+    once. Over GF(p), and for an integral table after one scan, it is the
+    cached ad table itself, with e = 1 and no copy."""
+    if (view := L._cache.get("int_ad")) is None:
+        ads = _ads(L)
+        e = 1
+        if not L.field.characteristic:
+            e = lcm(*{x.denominator for ad in ads for col in ad.values()
+                      for x in col.values() if type(x) is not int})
+        if e != 1:
+            ads = [{l: {k: x.numerator * (e // x.denominator) for k, x in col.items()}
+                    for l, col in ad.items()} for ad in ads]
+        view = L._cache["int_ad"] = (ads, e)
+    return view
+
+
+def _ad_numerators(L: LieAlgebra, u: dict, d: int) -> tuple[dict, int]:
+    """ad(v) for v = u / d with u integral (`_numerators`), as unreduced
+    integer columns {l: {k: x}} over one denominator D = d * e (`_int_ads`):
+    ad(v) = cols / D. Zero entries may remain (and over GF(p) entries are
+    not reduced), so a caller divides each entry of what it sums once."""
+    ads, e = _int_ads(L)
+    cols: dict[int, dict] = {}
+    for i, ui in u.items():
+        for l, col in ads[i].items():
+            acc = cols.setdefault(l, {})
+            for k, c in col.items():
+                acc[k] = acc.get(k, 0) + c * ui
+    return cols, d * e
+
+
 def _ad(L: LieAlgebra, v: dict) -> dict:
     """ad(v) as sparse columns {l: [v, e_l]}, zero columns left out; for a
-    basis vector, the cached columns themselves. Not to be mutated."""
+    basis vector, the cached columns themselves. Not to be mutated.
+    Otherwise v is scaled once to integer numerators, the columns are summed
+    in ints (`_ad_numerators`) and each entry is divided once."""
     ads = _ads(L)
     if len(v) == 1:
         (i, vi), = v.items()
         if vi == 1:
             return ads[i]
-    cols: dict[int, dict] = {}
-    for i, vi in v.items():
-        for l, col in ads[i].items():
-            acc = cols.setdefault(l, {})
-            for k, c in col.items():
-                acc[k] = acc.get(k, 0) + c * vi
     p = L.field.characteristic
-    return {l: r for l, col in cols.items() if (r := _reduced(col, p))}
+    cols, D = _ad_numerators(L, *_numerators(v, p))
+    return {l: r for l, col in cols.items() if (r := _reduced(col, p, D))}
 
 
 def _pair_brackets(L: LieAlgebra, vs) -> dict:
     """Every nonzero [v_a, v_b], a < b, as {(a, b): {k: c}}; vectors and
-    results are sparse and 0-based."""
+    results are sparse and 0-based. Each vector is scaled once to integer
+    numerators u_a / d_a (`_numerators`), ad(v_a) is summed in ints over
+    d_a * e (`_ad_numerators`; none for the last vector), and each entry
+    of [v_a, v_b] is divided once, by d_a * e * d_b."""
     p = L.field.characteristic
+    nums = [_numerators(v, p) for v in vs]
     out = {}
-    for a, v in enumerate(vs):
-        ad = _ad(L, v)
+    for a, (u, d) in enumerate(nums[:-1]):
+        ad, D = _ad_numerators(L, u, d)
         if not ad:
             continue
-        for b, u in enumerate(vs[a + 1:], a + 1):
-            if ad.keys().isdisjoint(u):
+        for b, (w, dw) in enumerate(nums[a + 1:], a + 1):
+            if ad.keys().isdisjoint(w):
                 continue
-            w = _apply(ad, u, p)
-            if w:
-                out[(a, b)] = w
+            if r := _apply(ad, w, p, D * dw):
+                out[(a, b)] = r
     return out
 
 
@@ -219,15 +267,17 @@ def _bracket_table(L: LieAlgebra, vecs, cols: dict) -> BracketTable:
 
 def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
     """All violating basis triples (i, j, k), i < j < k, 1-based; empty
-    means valid. The ad table is read 0-based: a term [e_c, [e_a, e_b]] can
-    be nonzero only when column b > a of ad(e_a) is nonzero and e_c brackets
+    means valid. The ad table is read 0-based in its integral view
+    (`_int_ads`, the table times e): a term [e_c, [e_a, e_b]] can be nonzero
+    only when column b > a of ad(e_a) is nonzero and e_c brackets
     nontrivially with one of its targets, so only those triples are
     candidates, not all C(n, 3). Each term is ad(e_c) applied to that
-    column; the three are summed and reduced mod p once, and a violating
-    triple is shifted to 1-based when it is listed.
+    column; the three are summed in ints, giving e^2 times the Jacobiator,
+    and the triple violates when a sum is nonzero (over Q) or not divisible
+    by p. A violating triple is shifted to 1-based when it is listed.
     """
     p = L.field.characteristic
-    ads = _ads(L)
+    ads, _ = _int_ads(L)
     candidates = {tuple(sorted((a, b, c))) for a, ad in enumerate(ads)
                   for b, col in ad.items() if a < b
                   for k in col for c in ads[k] if c != a and c != b}
@@ -239,7 +289,7 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
             for l, x in ads[a].get(b, {}).items():
                 for m, y in outer.get(l, {}).items():
                     acc[m] = acc.get(m, 0) + x * y
-        if _reduced(acc, p):
+        if any(x % p for x in acc.values()) if p else any(acc.values()):
             bad.append((i + 1, j + 1, k + 1))
     return bad
 

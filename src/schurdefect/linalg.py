@@ -5,15 +5,19 @@ dict, 0-based, with canonical scalars (see `fields`): reduced mod p over
 GF(p), and over Q an int when integral, so integral work stays on ints.
 Inside the package every vector is such a dict; Python's operators combine
 the scalars, and `_reduced`, `_apply` and `_sub_scaled` bring each entry
-back to canonical form. An outside vector, a dense list of length n or a
-dict with int indices in range(n), is checked and made canonical in one
-place, `_vector`, at the public edge. Every elimination runs through one
-sparse Gauss-Jordan kernel, `_rref_rows`, over canonical rows; it keeps its
-rows fully reduced after every input row, so one pass reduces each new row,
-and returns the fully reduced row-echelon form, which is canonical, as one
-{pivot column: row} map sorted by pivot. It may start from a Subspace's
-rows, so a sum of subspaces reduces only the rows it adds. A Subspace keeps
-only that map: equal maps are equal subspaces (no tolerances anywhere).
+back to canonical form. Integer numerators (`_numerators`: a vector as ints
+over the lcm of its denominators) live only inside the bracket primitives
+of `algebra`, which divide each result entry once through `_reduced`, so
+what they return is canonical, as every other vector is. An outside
+vector, a dense list of length n or a dict with int indices in range(n),
+is checked and made canonical in one place, `_vector`, at the public
+edge. Every elimination runs through one sparse Gauss-Jordan kernel,
+`_rref_rows`, over canonical rows; it keeps its rows fully reduced after
+every input row, so one pass reduces each new row, and returns the fully
+reduced row-echelon form, which is canonical, as one {pivot column: row}
+map sorted by pivot. It may start from a Subspace's rows, so a sum of
+subspaces reduces only the rows it adds. A Subspace keeps only that map:
+equal maps are equal subspaces (no tolerances anywhere).
 Reduction modulo a subspace is one sparse remainder, `Subspace._remainder`,
 which visits only the pivots a vector holds; containment, coordinates,
 complements and null vectors read the map's keys. A Matrix keeps only its
@@ -22,6 +26,9 @@ sparse columns, so products, inverses and kernels never visit a zero;
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import NotContained, SingularMatrix
 from .fields import Field, canonical
@@ -116,21 +123,43 @@ def _vector(field: Field, n: int, v) -> dict:
     return {i: c for i, x in items if (c := coerce(x))}
 
 
-def _reduced(v: dict, p: int) -> dict:
-    """v with its entries in canonical form and zeros dropped: reduced mod
-    p, or over Q (p = 0) integral ones made ints."""
+def _reduced(v: dict, p: int, d: int = 1) -> dict:
+    """v / d with its entries in canonical form and zeros dropped: reduced
+    mod p, or over Q (p = 0) integral ones made ints. A denominator d != 1
+    comes only over Q, with int entries (`_numerators`): each is divided
+    once, x // d when d divides x, else Fraction(x, d)."""
     if p:
         return {k: r for k, x in v.items() if (r := x % p)}
-    return {k: x if type(x) is int else canonical(x) for k, x in v.items() if x}
+    if d == 1:
+        return {k: x if type(x) is int else canonical(x) for k, x in v.items() if x}
+    out = {}
+    for k, x in v.items():
+        if x:
+            q, r = divmod(x, d)
+            out[k] = Fraction(x, d) if r else q
+    return out
 
 
-def _apply(cols: dict, u: dict, p: int) -> dict:
-    """sum_l u_l cols[l] for sparse columns {l: {k: c}}."""
+def _numerators(v: dict, p: int) -> tuple[dict, int]:
+    """(u, d) with v = u / d, u integral and d the lcm of v's denominators:
+    (v, 1) over GF(p) and for an integral v, else each entry x becomes
+    x.numerator * (d // x.denominator), with no Fraction arithmetic."""
+    if p:
+        return v, 1
+    d = lcm(*{x.denominator for x in v.values() if type(x) is not int})
+    if d == 1:
+        return v, 1
+    return {k: x.numerator * (d // x.denominator) for k, x in v.items()}, d
+
+
+def _apply(cols: dict, u: dict, p: int, d: int = 1) -> dict:
+    """sum_l u_l cols[l] / d for sparse columns {l: {k: c}}, divided once
+    by `_reduced`."""
     acc: dict = {}
     for l, ul in u.items():
         for k, c in cols.get(l, {}).items():
             acc[k] = acc.get(k, 0) + c * ul
-    return _reduced(acc, p)
+    return _reduced(acc, p, d)
 
 
 def _transpose(vecs: dict) -> dict:

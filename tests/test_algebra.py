@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from conftest import (
+    canonical_row,
     is_isomorphism,
     random_invertible,
     random_scalar,
@@ -17,7 +19,9 @@ from schurdefect import catalog
 from schurdefect.algebra import (
     Homomorphism,
     LieAlgebra,
+    _ad,
     _ad_table,
+    _pair_brackets,
     adjoint_matrix,
     bracket,
     change_basis,
@@ -35,7 +39,7 @@ from schurdefect.invariants import (
     report,
     upper_central_series,
 )
-from schurdefect.linalg import Matrix, Subspace
+from schurdefect.linalg import Matrix, Subspace, _vector
 from schurdefect.serialize import dumps, loads
 
 
@@ -195,10 +199,30 @@ def test_jacobi_cancellation_in_l6_14():
     assert check_jacobi(L) == []
 
 
+def fractional_sum(keys, seed, steps):
+    """The sum of the catalog entries `keys` over Q (a key with a parameter
+    as (key, param)) under a seeded base change of `steps` random row
+    operations: a dense table, most of its constants fractions."""
+    parts = [catalog.get(k, QQ, *a) for k, *a in
+             (key if isinstance(key, tuple) else (key,) for key in keys)]
+    L = parts[0]
+    for part in parts[1:]:
+        L = direct_sum(L, part)
+    return change_basis(L, random_invertible(QQ, L.dim, random.Random(seed),
+                                             steps=steps))
+
+
 def test_jacobi_clean_on_catalog_and_abelian():
     for L in all_test_algebras():
         assert check_jacobi(L) == []
     assert check_jacobi(catalog.abelian(QQ, 6)) == []
+    # dim 20, with thousands of constants, over 90 % of them fractions
+    for seed in (0, 1):
+        L = fractional_sum(("L6_14", ("L6_19", 1), "L5_7", "H1"), seed, 120)
+        consts = [c for cs in L.brackets.values() for c in cs.values()]
+        assert L.dim == 20 and len(consts) > 3000
+        assert sum(type(c) is Fraction for c in consts) > 0.9 * len(consts)
+        assert check_jacobi(L) == []
 
 
 def test_direct_sum_examples():
@@ -422,6 +446,7 @@ def test_ad_table_left_unchanged_by_its_readers():
     from schurdefect.classify import classify_t012
     from schurdefect.invariants import annihilator, upper_central_series
     rng = random.Random(83)
+    scaled = set()
     for field in (QQ, GF(2), GF(3), GF(5)):
         for key in ("L5_7", "L4_3", "L5_6", "H2", "F4"):
             base = catalog.get(key, field)
@@ -438,7 +463,34 @@ def test_ad_table_left_unchanged_by_its_readers():
                 adjoint_matrix(L, basis_vec(field, n, j))
                 bracket(L, basis_vec(field, n, j), random_vector(field, n, rng))
             assert check_jacobi(L) == []
-            assert L._cache["ad"] == _ad_table(n, L.brackets, field.characteristic)
+            ads = _ad_table(n, L.brackets, field.characteristic)
+            assert L._cache["ad"] == ads
+            # the integral view: the table over the lcm e of its denominators
+            int_ads, e = L._cache["int_ad"]
+            assert e == lcm(*(getattr(c, "denominator", 1)
+                              for cs in L.brackets.values() for c in cs.values()))
+            assert int_ads == [{l: {k: c * e for k, c in col.items()}
+                                for l, col in ad.items()} for ad in ads]
+            assert all(type(c) is int for ad in int_ads
+                       for col in ad.values() for c in col.values())
+            if e == 1:
+                assert int_ads is L._cache["ad"]
+            scaled.add(e != 1)
+    assert scaled == {False, True}
+
+
+def textbook_violations(L):
+    """Every triple i < j < k whose Jacobiator, written out densely, is
+    nonzero; each inner bracket [e_a, e_b] is computed once."""
+    f, n = L.field, L.dim
+    e = [basis_vec(f, n, i) for i in range(1, n + 1)]
+    inner = {(a, b): textbook_bracket(L, e[a], e[b])
+             for a in range(n) for b in range(n) if a != b}
+    return [(i + 1, j + 1, k + 1) for i, j, k in combinations(range(n), 3)
+            if any(f.add(x, f.add(y, z)) for x, y, z in zip(
+                textbook_bracket(L, e[i], inner[(j, k)]),
+                textbook_bracket(L, e[j], inner[(k, i)]),
+                textbook_bracket(L, e[k], inner[(i, j)])))]
 
 
 def test_check_jacobi_matches_all_triples():
@@ -462,17 +514,72 @@ def test_check_jacobi_matches_all_triples():
                                   for k in rng.sample(range(1, n + 1), rng.randint(1, 2))}
                             table[(i, j)] = cs
                     L = LieAlgebra._make(field, n, table)
-                    e = lambda i: basis_vec(field, n, i)
-                    want = []
-                    for i, j, k in combinations(range(1, n + 1), 3):
-                        terms = (textbook_bracket(L, e(i), textbook_bracket(L, e(j), e(k))),
-                                 textbook_bracket(L, e(j), textbook_bracket(L, e(k), e(i))),
-                                 textbook_bracket(L, e(k), textbook_bracket(L, e(i), e(j))))
-                        if any(field.add(a, field.add(b, c)) for a, b, c in zip(*terms)):
-                            want.append((i, j, k))
+                    want = textbook_violations(L)
                     assert check_jacobi(L) == want
                     outcomes.add(bool(want))
         assert outcomes == {False, True}
+    # denominators 7, 11 and 13, so the ad table is scaled by e = 1001, and
+    # the Jacobiator of (1, 2, 3) is 2/77 - 1/91 - 2/143 = 1/1001 at e_7
+    table = {(1, 2): {4: Fraction(2, 11)}, (3, 4): {7: Fraction(-1, 13)},
+             (2, 3): {5: Fraction(2, 7)}, (1, 5): {7: Fraction(1, 11)},
+             (1, 3): {6: Fraction(1, 7)}, (2, 6): {7: Fraction(1, 13)}}
+    L = LieAlgebra._make(QQ, 7, table)
+    e = lambda i: basis_vec(QQ, 7, i)
+    jac = [QQ.add(a, QQ.add(b, c)) for a, b, c in zip(
+        textbook_bracket(L, e(1), textbook_bracket(L, e(2), e(3))),
+        textbook_bracket(L, e(2), textbook_bracket(L, e(3), e(1))),
+        textbook_bracket(L, e(3), textbook_bracket(L, e(1), e(2))))]
+    assert jac == [0] * 6 + [Fraction(1, 1001)]
+    assert check_jacobi(L) == textbook_violations(L) == [(1, 2, 3)]
+    assert L._cache["int_ad"][1] == 1001
+    # a dim-12 fractional base change of a catalog sum, Lie until one
+    # constant is moved by 1/5
+    L = fractional_sum(("L6_14", "L5_7", "A1"), 5, 30)
+    assert check_jacobi(L) == []
+    table = {pair: dict(cs) for pair, cs in L.brackets.items()}
+    pair = max(table, key=lambda q: len(table[q]))
+    k = min(table[pair])
+    table[pair][k] += Fraction(1, 5)
+    M = LieAlgebra._make(QQ, 12, table)
+    want = textbook_violations(M)
+    assert check_jacobi(M) == want
+    assert want and M._cache["int_ad"][1] > 1
+
+
+def test_bracket_primitives_do_no_fraction_arithmetic(monkeypatch):
+    # over Q, _ad, _pair_brackets and check_jacobi sum integer numerators
+    # and divide once per result entry: with Fraction's binary arithmetic
+    # made to raise, each still gives the result it gave before
+    L = fractional_sum(("L5_7", "H1"), 3, 40)
+    bad = LieAlgebra._make(QQ, L.dim, {**L.brackets, (1, 2): {L.dim: Fraction(1, 3)}})
+    rng = random.Random(89)
+    vs = [_vector(QQ, L.dim, random_vector(QQ, L.dim, rng)) for _ in range(4)]
+    assert any(type(c) is Fraction for v in vs for c in v.values())
+    consts = [c for cs in L.brackets.values() for c in cs.values()]
+    assert sum(type(c) is Fraction for c in consts) > len(consts) // 2
+
+    def run(L, bad):
+        return (check_jacobi(L), check_jacobi(bad), [_ad(L, v) for v in vs],
+                _pair_brackets(L, vs))
+
+    want = run(L, bad)
+    assert want[0] == [] and want[1]
+    # fresh copies, whose integral views are built under the patch
+    fresh = [LieAlgebra._make(QQ, A.dim, A.brackets) for A in (L, bad)]
+    for A in fresh:
+        algebra._ads(A)
+
+    def boom(*args):
+        raise AssertionError("Fraction arithmetic in a bracket primitive")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, boom)
+    got = run(*fresh)
+    monkeypatch.undo()
+    assert got == want
+    rows = [col for ad in got[2] for col in ad.values()] + list(got[3].values())
+    assert rows and all(canonical_row(QQ, row) for row in rows)
 
 
 def test_homomorphism_check_raises_on_bad_map():
