@@ -27,17 +27,19 @@ as over GF(p). Each rational vector is scaled once to integer numerators
 over the lcm of its own denominators (`linalg._numerators`), and each
 result entry is divided once by the product of the denominators
 (`linalg._reduced`), so every result is canonical as before and no
-Fraction is multiplied or added. There is no numpy here.
+Fraction is multiplied or added. An lcm is used only within a bound of the
+largest denominator it covers (`linalg._common_denominator`): past it, as
+for many coprime denominators, e or d is 1 and the entries stay Fractions,
+so no table or vector grows past a fixed multiple of its own size. There
+is no numpy here.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import NotALieAlgebra, NotAnIdeal
 from .fields import Field
-from .linalg import (Matrix, Subspace, _apply, _dense, _numerators, _reduced, _rref_rows,
-                     _vector)
+from .linalg import (Matrix, Subspace, _apply, _common_denominator, _dense, _numerators,
+                     _reduced, _rref_rows, _vector)
 
 BracketTable = dict  # {(i, j): {k: scalar}} with 1 <= i < j <= dim, scalars nonzero, canonical
 
@@ -80,10 +82,7 @@ class LieAlgebra:
         return cls(field, dim, brackets, name, _validated=True)
 
     def full_space(self) -> Subspace:
-        """L as a subspace of itself, built once (subspaces are immutable)."""
-        if (full := self._cache.get("full")) is None:
-            full = self._cache["full"] = Subspace.full(self.field, self.dim)
-        return full
+        return Subspace.full(self.field, self.dim)
 
     def __eq__(self, other):
         """Structural equality: same field, dimension and bracket table."""
@@ -186,14 +185,15 @@ def _ads(L: LieAlgebra) -> list[dict]:
 def _int_ads(L: LieAlgebra) -> tuple[list[dict], int]:
     """The integral view (ads, e) of L's ad table: e is the lcm of the
     denominators of its constants and ads the table times e, built at most
-    once. Over GF(p), and for an integral table after one scan, it is the
-    cached ad table itself, with e = 1 and no copy."""
+    once. Over GF(p), for an integral table after one scan, and past the
+    scaling bound (`_common_denominator`), it is the cached ad table itself,
+    with e = 1 and no copy; past the bound its entries stay Fractions."""
     if (view := L._cache.get("int_ad")) is None:
         ads = _ads(L)
         e = 1
         if not L.field.characteristic:
-            e = lcm(*{x.denominator for ad in ads for col in ad.values()
-                      for x in col.values() if type(x) is not int})
+            e = _common_denominator({x.denominator for ad in ads for col in ad.values()
+                                     for x in col.values() if type(x) is not int})
         if e != 1:
             ads = [{l: {k: x.numerator * (e // x.denominator) for k, x in col.items()}
                     for l, col in ad.items()} for ad in ads]
@@ -204,8 +204,10 @@ def _int_ads(L: LieAlgebra) -> tuple[list[dict], int]:
 def _ad_numerators(L: LieAlgebra, u: dict, d: int) -> tuple[dict, int]:
     """ad(v) for v = u / d with u integral (`_numerators`), as unreduced
     integer columns {l: {k: x}} over one denominator D = d * e (`_int_ads`):
-    ad(v) = cols / D. Zero entries may remain (and over GF(p) entries are
-    not reduced), so a caller divides each entry of what it sums once."""
+    ad(v) = cols / D. Past the scaling bound, u or the table keeps its
+    Fractions (d or e is 1), and so do the columns. Zero entries may remain
+    (and over GF(p) entries are not reduced), so a caller divides each entry
+    of what it sums once."""
     ads, e = _int_ads(L)
     cols: dict[int, dict] = {}
     for i, ui in u.items():
@@ -272,9 +274,10 @@ def check_jacobi(L: LieAlgebra) -> list[tuple[int, int, int]]:
     only when column b > a of ad(e_a) is nonzero and e_c brackets
     nontrivially with one of its targets, so only those triples are
     candidates, not all C(n, 3). Each term is ad(e_c) applied to that
-    column; the three are summed in ints, giving e^2 times the Jacobiator,
-    and the triple violates when a sum is nonzero (over Q) or not divisible
-    by p. A violating triple is shifted to 1-based when it is listed.
+    column; the three are summed in ints, giving e^2 times the Jacobiator
+    (in Fractions, with e = 1, past the scaling bound), and the triple
+    violates when a sum is nonzero (over Q) or not divisible by p. A
+    violating triple is shifted to 1-based when it is listed.
     """
     p = L.field.characteristic
     ads, _ = _int_ads(L)

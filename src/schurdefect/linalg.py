@@ -6,18 +6,19 @@ GF(p), and over Q an int when integral, so integral work stays on ints.
 Inside the package every vector is such a dict; Python's operators combine
 the scalars, and `_reduced`, `_apply` and `_sub_scaled` bring each entry
 back to canonical form. Integer numerators (`_numerators`: a vector as ints
-over the lcm of its denominators) live only inside the bracket primitives
-of `algebra`, which divide each result entry once through `_reduced`, so
-what they return is canonical, as every other vector is. An outside
-vector, a dense list of length n or a dict with int indices in range(n),
-is checked and made canonical in one place, `_vector`, at the public
-edge. Every elimination runs through one sparse Gauss-Jordan kernel,
-`_rref_rows`, over canonical rows; it keeps its rows fully reduced after
-every input row, so one pass reduces each new row, and returns the fully
-reduced row-echelon form, which is canonical, as one {pivot column: row}
-map sorted by pivot. It may start from a Subspace's rows, so a sum of
-subspaces reduces only the rows it adds. A Subspace keeps only that map:
-equal maps are equal subspaces (no tolerances anywhere).
+over the lcm of its denominators, while that lcm stays within a bound of
+its largest denominator, `_common_denominator`) live only inside the
+bracket primitives of `algebra`, which divide each result entry once
+through `_reduced`, so what they return is canonical, as every other
+vector is. An outside vector, a dense list of length n or a dict with int
+indices in range(n), is checked and made canonical in one place,
+`_vector`, at the public edge. Every elimination runs through one sparse
+Gauss-Jordan kernel, `_rref_rows`, over canonical rows; it keeps its rows
+fully reduced after every input row, so one pass reduces each new row, and
+returns the fully reduced row-echelon form, which is canonical, as one
+{pivot column: row} map sorted by pivot. It may start from a Subspace's
+rows, so a sum of subspaces reduces only the rows it adds. A Subspace keeps
+only that map: equal maps are equal subspaces (no tolerances anywhere).
 Reduction modulo a subspace is one sparse remainder, `Subspace._remainder`,
 which visits only the pivots a vector holds; containment, coordinates,
 complements and null vectors read the map's keys. A Matrix keeps only its
@@ -126,8 +127,9 @@ def _vector(field: Field, n: int, v) -> dict:
 def _reduced(v: dict, p: int, d: int = 1) -> dict:
     """v / d with its entries in canonical form and zeros dropped: reduced
     mod p, or over Q (p = 0) integral ones made ints. A denominator d != 1
-    comes only over Q, with int entries (`_numerators`): each is divided
-    once, x // d when d divides x, else Fraction(x, d)."""
+    comes only over Q, with int entries (`_numerators`), or Fractions past
+    the scaling bound (`_common_denominator`): each is divided once, to the
+    int quotient when d divides x, else to Fraction(x, d)."""
     if p:
         return {k: r for k, x in v.items() if (r := x % p)}
     if d == 1:
@@ -140,13 +142,36 @@ def _reduced(v: dict, p: int, d: int = 1) -> dict:
     return out
 
 
+# Scaling to integer numerators pays only while the common denominator stays
+# near the size of the largest single one: every scaled product carries it.
+# An lcm past max(_SCALE_BITS, twice the bits of the largest denominator)
+# is not used, and the entries stay Fractions, summed as Fractions.
+_SCALE_BITS = 128
+
+
+def _common_denominator(dens: set) -> int:
+    """The lcm of the denominators `dens`, or 1 when it passes the scaling
+    bound (`_SCALE_BITS`). It is built one denominator at a time and dropped
+    as soon as it passes, so it never grows past the bound."""
+    if not dens:
+        return 1
+    bound = max(_SCALE_BITS, 2 * max(dens).bit_length())
+    d = 1
+    for x in dens:
+        d = lcm(d, x)
+        if d.bit_length() > bound:
+            return 1
+    return d
+
+
 def _numerators(v: dict, p: int) -> tuple[dict, int]:
-    """(u, d) with v = u / d, u integral and d the lcm of v's denominators:
-    (v, 1) over GF(p) and for an integral v, else each entry x becomes
+    """(u, d) with v = u / d, u integral and d the lcm of v's denominators
+    (`_common_denominator`): (v, 1) over GF(p), for an integral v and past
+    the scaling bound, else each entry x becomes
     x.numerator * (d // x.denominator), with no Fraction arithmetic."""
     if p:
         return v, 1
-    d = lcm(*{x.denominator for x in v.values() if type(x) is not int})
+    d = _common_denominator({x.denominator for x in v.values() if type(x) is not int})
     if d == 1:
         return v, 1
     return {k: x.numerator * (d // x.denominator) for k, x in v.items()}, d

@@ -582,6 +582,54 @@ def test_bracket_primitives_do_no_fraction_arithmetic(monkeypatch):
     assert rows and all(canonical_row(QQ, row) for row in rows)
 
 
+def primes_from(lo, count):
+    """The first `count` primes >= lo, by trial division."""
+    out, q = [], lo
+    while len(out) < count:
+        if q > 1 and all(q % r for r in range(2, int(q ** 0.5) + 1)):
+            out.append(q)
+        q += 1
+    return out
+
+
+def test_scaling_stays_bounded_on_many_coprime_denominators():
+    # 100 blocks [e1, e2] = e3 / p, [e1, e3] = e4 / q with 200 distinct
+    # primes p, q > 1000: the lcm of all denominators has over 2000 bits, so
+    # the ad table is not scaled (e = 1, no copy) and the sums stay Fraction
+    # sums, each no larger than the few constants it combines
+    ps = primes_from(1000, 201)
+    blocks = 100
+    table = {}
+    for t in range(blocks):
+        o = 4 * t
+        table[(o + 1, o + 2)] = {o + 3: Fraction(1, ps[2 * t])}
+        table[(o + 1, o + 3)] = {o + 4: Fraction(1, ps[2 * t + 1])}
+    n = 4 * blocks
+    assert lcm(*ps[:2 * blocks]).bit_length() > 2000
+    L = LieAlgebra(QQ, n, table)  # validated: check_jacobi(L) == []
+    ads, e = algebra._int_ads(L)
+    assert e == 1 and ads is L._cache["ad"]
+    # one block broken by [e2, e3] = e2 / r: the violations are the ones
+    # the textbook search finds on that block alone, shifted
+    o = 4 * 37
+    bad = {**table, (o + 2, o + 3): {o + 2: Fraction(1, ps[-1])}}
+    block = LieAlgebra._make(QQ, 4, {(i - o, j - o): {k - o: c for k, c in cs.items()}
+                                     for (i, j), cs in bad.items() if i > o and j <= o + 4})
+    want = [(i + o, j + o, k + o) for i, j, k in textbook_violations(block)]
+    assert want and check_jacobi(LieAlgebra._make(QQ, n, bad)) == want
+    # a vector over 400 distinct primes is not scaled either, and _ad and
+    # _pair_brackets still agree with the textbook bracket
+    qs = primes_from(3000, n)
+    vs = [{i: Fraction(s + i % 3, q) for i, q in enumerate(qs)} for s in (1, 2)]
+    assert algebra._numerators(vs[0], 0) == (vs[0], 1)
+    x, y = ([v[i] for i in range(n)] for v in vs)
+    want = _vector(QQ, n, textbook_bracket(L, x, y))
+    assert want and _pair_brackets(L, vs) == {(0, 1): want}
+    cols = {l: _vector(QQ, n, textbook_bracket(L, x, basis_vec(QQ, n, l + 1)))
+            for l in range(n)}
+    assert _ad(L, vs[0]) == {l: col for l, col in cols.items() if col}
+
+
 def test_homomorphism_check_raises_on_bad_map():
     from schurdefect.linalg import Matrix
     L = catalog.heisenberg(QQ, 1)
