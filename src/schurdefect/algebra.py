@@ -5,24 +5,25 @@ Antisymmetry is a representation invariant: only pairs (i, j) with i < j are
 stored, [e_j, e_i] is derived by negation and [e_i, e_i] = 0 implicitly, so
 [x, x] = 0 holds in every characteristic including 2.
 
-Every stored table, however built, is the canonical copy `_check_table`
-returns (1 <= i < j <= dim, targets in 1..dim, non-empty rhs of nonzero
-scalars, each through `Field.coerce`); `_make` skips only the Jacobi check.
-
-The structure constants are read one way: each algebra caches ad(e_i) for
-every index as sparse 0-based columns {l: [e_i, e_l]} (`_ads`), and the
-table is otherwise only copied, compared and written. A bracket of two
-vectors is ad(v) (`_ad`) applied to the other (`_apply`); `check_jacobi`,
-`is_bracket_preserving` and `classify` read the cached columns. Vectors are
-the canonical sparse dicts of `linalg`, and an outside one (to `bracket` or
-`adjoint_matrix`) is checked by `linalg._vector`. Every map (base change,
-its inverse, projection, adjoint, homomorphism) is a `Matrix` read and built
-as sparse columns, so none is converted through dense lists.
+The structure constants are stored once, as the ad table: each algebra
+holds ad(e_i) for every index as sparse 0-based columns {l: [e_i, e_l]}
+(`LieAlgebra._ads`), written in one pass by `_ad_table`, which checks and
+canonicalises every pair (1 <= i < j <= dim, targets in 1..dim, non-empty
+rhs of nonzero scalars, each through `Field.coerce`) and writes both
+halves; `_make` skips only the Jacobi check. `brackets` is a view: the
+1-based upper half, rebuilt on each read, so changing it changes nothing.
+A bracket of two vectors is ad(v) (`_ad`) applied to the other (`_apply`);
+`check_jacobi`, `is_bracket_preserving` and `classify` read the table's
+columns. Vectors are the canonical sparse dicts of `linalg`, and an outside
+one (to `bracket` or `adjoint_matrix`) is checked by `linalg._vector`.
+Every map (base change, its inverse, projection, adjoint, homomorphism) is
+a `Matrix` read and built as sparse columns, so none is converted through
+dense lists.
 
 The three bilinear primitives, `_ad`, `_pair_brackets` and `check_jacobi`,
 sum in Python ints on every field. They read the ad table through its
 integral view (`_int_ads`): the table times e, the lcm of its denominators,
-derived from the cached table at most once and the table itself when e = 1,
+derived from the stored table at most once and the table itself when e = 1,
 as over GF(p). Each rational vector is scaled once to integer numerators
 over the lcm of its own denominators (`linalg._numerators`), and each
 result entry is divided once by the product of the denominators
@@ -59,13 +60,13 @@ MAX_BRACKETS = 4096
 
 
 class LieAlgebra:
-    __slots__ = ("field", "dim", "brackets", "name", "_cache")
+    __slots__ = ("field", "dim", "_ads", "name", "_cache")
 
     def __init__(self, field: Field, dim: int, brackets: BracketTable,
                  name: str | None = None, _validated: bool = False):
         self.field = field
         self.dim = dim
-        self.brackets = _check_table(dim, brackets, field)
+        self._ads = _ad_table(dim, brackets, field)
         self.name = name
         self._cache: dict = {}
         if not _validated:
@@ -78,18 +79,27 @@ class LieAlgebra:
     @classmethod
     def _make(cls, field, dim, brackets, name=None) -> "LieAlgebra":
         """Internal constructor for tables that are Lie by construction: the
-        table is checked and made canonical, but Jacobi is not checked."""
+        table is checked and its ad table built, but Jacobi is not checked."""
         return cls(field, dim, brackets, name, _validated=True)
+
+    @property
+    def brackets(self) -> BracketTable:
+        """The canonical table {(i, j): {k: c}}, 1 <= i < j <= dim, read off
+        the ad table in (i, j) order: a fresh dict on each read, so changing
+        it changes nothing."""
+        return {(i + 1, l + 1): {k + 1: c for k, c in col.items()}
+                for i, ad in enumerate(self._ads) for l, col in sorted(ad.items()) if i < l}
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
 
     def __eq__(self, other):
-        """Structural equality: same field, dimension and bracket table."""
+        """Structural equality: same field, dimension and bracket table (the
+        ad tables are canonical, so they are equal exactly when those are)."""
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return (self.field == other.field and self.dim == other.dim
-                and self.brackets == other.brackets)
+                and self._ads == other._ads)
 
     def __hash__(self):
         return hash((self.field, self.dim,
@@ -101,29 +111,34 @@ class LieAlgebra:
         return f"{label}(dim {self.dim} over {self.field})"
 
 
-def _check_table(dim: int, brackets: BracketTable, field: Field) -> BracketTable:
-    """`brackets` with each scalar made canonical by `field.coerce`. Raises
-    ValueError unless dim is an int >= 0 and, naming the pair, unless i, j
-    and each target are ints (a bool or a float is none) with
-    1 <= i < j <= dim and targets in 1..dim, and each rhs is non-empty with
-    nonzero scalars."""
+def _ad_table(dim: int, brackets: BracketTable, field: Field) -> list[dict]:
+    """ad(e_i) for each 0-based i < dim as sparse columns {l: {k: c}}, in one
+    pass over `brackets`, each scalar made canonical by `field.coerce`:
+    [e_j, e_i] is the negation of [e_i, e_j], a residue c in 1..p-1 negating
+    to p - c and a rational to -c. Raises ValueError unless dim is an
+    int >= 0 and, naming the pair, unless i, j and each target are ints (a
+    bool or a float is none) with 1 <= i < j <= dim and targets in 1..dim,
+    and each rhs is non-empty with nonzero scalars."""
     if type(dim) is not int or dim < 0:
         raise ValueError(f"dimension {dim!r} is no int >= 0")
-    table: BracketTable = {}
+    p = field.characteristic
+    ads: list[dict] = [{} for _ in range(dim)]
     for (i, j), cs in brackets.items():
         if type(i) is not int or type(j) is not int or not 1 <= i < j <= dim:
             raise ValueError(f"bracket pair ({i}, {j}): need ints 1 <= i < j <= {dim}")
         if not cs:
             raise ValueError(f"bracket pair ({i}, {j}): empty rhs")
-        row = table[(i, j)] = {}
+        col = ads[i - 1][j - 1] = {}
+        neg = ads[j - 1][i - 1] = {}
         for k, c in cs.items():
             if type(k) is not int or not 1 <= k <= dim:
                 raise ValueError(f"bracket pair ({i}, {j}): target {k!r} is no int in 1..{dim}")
             c = _coerce(field, i, j, c)
             if not c:
                 raise ValueError(f"bracket pair ({i}, {j}): zero scalar at {k}")
-            row[k] = c
-    return table
+            col[k - 1] = c
+            neg[k - 1] = p - c if p else -c
+    return ads
 
 
 def _coerce(field: Field, i: int, j: int, c):
@@ -141,7 +156,7 @@ def new_algebra(field: Field, dim: int, brackets, name: str | None = None) -> Li
     `brackets` is an iterable of ((i, j), rhs) with rhs a {k: coeff} mapping;
     a pair (j, i) with i < j is normalized by negation, after its scalars are
     coerced, and no pair may come twice. Unlisted brackets are zero; the
-    table is checked by `_check_table` (so a listed zero scalar raises
+    table is checked by `_ad_table` (so a listed zero scalar raises
     ValueError) and then for Jacobi (NotALieAlgebra).
     """
     table: BracketTable = {}
@@ -162,34 +177,14 @@ def bracket(L: LieAlgebra, x, y):
                          f.characteristic), n, f.zero)
 
 
-def _ad_table(n: int, brackets: BracketTable, p: int) -> list[dict]:
-    """ad(e_i) for each 0-based i < n as sparse columns {l: {k: c}}, in one
-    pass over `brackets`: [e_j, e_i] is the negation of [e_i, e_j]. The
-    table is canonical (`_check_table`), and so are both halves: a residue
-    c in 1..p-1 negates to p - c, a rational to -c."""
-    ads: list[dict] = [{} for _ in range(n)]
-    for (i, j), cs in brackets.items():
-        ads[i - 1][j - 1] = {k - 1: c for k, c in cs.items()}
-        ads[j - 1][i - 1] = ({k - 1: p - c for k, c in cs.items()} if p
-                             else {k - 1: -c for k, c in cs.items()})
-    return ads
-
-
-def _ads(L: LieAlgebra) -> list[dict]:
-    """The ad table of L, built once (the bracket table is immutable)."""
-    if (ads := L._cache.get("ad")) is None:
-        ads = L._cache["ad"] = _ad_table(L.dim, L.brackets, L.field.characteristic)
-    return ads
-
-
 def _int_ads(L: LieAlgebra) -> tuple[list[dict], int]:
     """The integral view (ads, e) of L's ad table: e is the lcm of the
     denominators of its constants and ads the table times e, built at most
     once. Over GF(p), for an integral table after one scan, and past the
-    scaling bound (`_common_denominator`), it is the cached ad table itself,
+    scaling bound (`_common_denominator`), it is the stored ad table itself,
     with e = 1 and no copy; past the bound its entries stay Fractions."""
     if (view := L._cache.get("int_ad")) is None:
-        ads = _ads(L)
+        ads = L._ads
         e = 1
         if not L.field.characteristic:
             e = _common_denominator({x.denominator for ad in ads for col in ad.values()
@@ -220,10 +215,10 @@ def _ad_numerators(L: LieAlgebra, u: dict, d: int) -> tuple[dict, int]:
 
 def _ad(L: LieAlgebra, v: dict) -> dict:
     """ad(v) as sparse columns {l: [v, e_l]}, zero columns left out; for a
-    basis vector, the cached columns themselves. Not to be mutated.
+    basis vector, the stored columns themselves. Not to be mutated.
     Otherwise v is scaled once to integer numerators, the columns are summed
     in ints (`_ad_numerators`) and each entry is divided once."""
-    ads = _ads(L)
+    ads = L._ads
     if len(v) == 1:
         (i, vi), = v.items()
         if vi == 1:
@@ -301,7 +296,7 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     """Block sum: L1 brackets unchanged, L2 shifted, cross brackets zero."""
     L1.field.check_same(L2.field)
     n1 = L1.dim
-    table: BracketTable = dict(L1.brackets)
+    table = L1.brackets
     for (i, j), cs in L2.brackets.items():
         table[(i + n1, j + n1)] = {k + n1: c for k, c in cs.items()}
     name = None
@@ -405,7 +400,7 @@ class Homomorphism:
         p = self.source.field.characteristic
         cols = self.matrix.columns()
         images = {}
-        for a, ad in enumerate(_ads(self.source)):
+        for a, ad in enumerate(self.source._ads):
             for b, col in ad.items():
                 if a < b and (img := _apply(cols, col, p)):
                     images[(a, b)] = img

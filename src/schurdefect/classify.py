@@ -15,7 +15,7 @@ The stem decomposition inverts no matrix: T's rows are echelon,
 [T, T] ⊆ L^2 ⊆ T and A is central, so T's table, which is also that of the
 witness source T + A(k), is read at T's pivots. Brackets of vectors come
 from the algebra module's pair-bracket primitive; the Heisenberg form is
-read once off the cached ad table. The symplectic reduction works on the
+read once off the algebra's ad table. The symplectic reduction works on the
 sparse rows of a complement of the center, and each witness is a `Matrix`
 built from sparse columns, so no vector goes through a dense list. There is
 no numpy here.
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import (
     Homomorphism,
     LieAlgebra,
-    _ads,
     _bracket_table,
     direct_sum,
 )
@@ -139,7 +138,7 @@ def recognize_heisenberg(L: LieAlgebra) -> tuple[int, int, Homomorphism]:
         raise DerivedNotLine("derived line is not central (algebra is not nilpotent)")
     w, wpiv = l2.rows()[0], l2.pivots[0]
     gram = {a: {b: col.get(wpiv, f.zero) for b, col in ad.items()}
-            for a, ad in enumerate(_ads(L)) if ad}
+            for a, ad in enumerate(L._ads) if ad}
 
     remaining = [dict(r) for r in complement(z, L.full_space()).rows()]
     columns = []

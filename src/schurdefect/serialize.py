@@ -48,8 +48,7 @@ def algebra_to_document(L: LieAlgebra) -> dict:
     doc["dim"] = L.dim
     doc["field"] = L.field.describe()
     brackets = []
-    for (i, j) in sorted(L.brackets):
-        cs = L.brackets[(i, j)]
+    for (i, j), cs in sorted(L.brackets.items()):
         rhs = {str(k): L.field.render(cs[k]) for k in sorted(cs)}
         brackets.append({"lhs": [i, j], "rhs": rhs})
     doc["brackets"] = brackets

@@ -159,6 +159,24 @@ def test_every_table_is_stored_canonical():
         LieAlgebra._make(QQ, 3, {(1, 2): {3: 0}})
 
 
+def test_changing_the_bracket_view_changes_nothing():
+    # the constants are stored once, in the ad table, and `brackets` is a
+    # fresh view on each read: a pair added, a scalar changed or the whole
+    # view cleared leaves the table, the text and the report as they were,
+    # for a validated algebra and for one built by _make
+    builds = (lambda: catalog.heisenberg(QQ, 1),
+              lambda: LieAlgebra._make(GF(3), 4, {(1, 2): {3: 1}, (1, 3): {4: 2}}))
+    for build in builds:
+        L, twin = build(), build()
+        view = L.brackets
+        view[(L.dim - 1, L.dim)] = {L.dim - 1: 1}
+        view[(1, 2)][3] = 2
+        L.brackets.clear()
+        assert L.brackets == twin.brackets and dumps(L) == dumps(twin)
+        assert report(L) == report(twin)
+        assert L == loads(dumps(L)) == twin and hash(L) == hash(twin)
+
+
 def test_bracket_examples():
     L = catalog.get("L4_3", QQ)
     assert bracket(L, basis_vec(QQ, 4, 1), basis_vec(QQ, 4, 2)) == basis_vec(QQ, 4, 3)
@@ -441,8 +459,8 @@ def test_adjoint_matrix_columns_are_brackets():
 
 
 def test_ad_table_left_unchanged_by_its_readers():
-    # _ad hands out the cached columns of ad(e_i) as they are, so no reader
-    # may change them: after every reader ran, the cache equals a fresh table
+    # _ad hands out the stored columns of ad(e_i) as they are, so no reader
+    # may change them: after every reader ran, the table equals a fresh one
     from schurdefect.classify import classify_t012
     from schurdefect.invariants import annihilator, upper_central_series
     rng = random.Random(83)
@@ -463,8 +481,8 @@ def test_ad_table_left_unchanged_by_its_readers():
                 adjoint_matrix(L, basis_vec(field, n, j))
                 bracket(L, basis_vec(field, n, j), random_vector(field, n, rng))
             assert check_jacobi(L) == []
-            ads = _ad_table(n, L.brackets, field.characteristic)
-            assert L._cache["ad"] == ads
+            ads = _ad_table(n, L.brackets, field)
+            assert L._ads == ads and "ad" not in L._cache
             # the integral view: the table over the lcm e of its denominators
             int_ads, e = L._cache["int_ad"]
             assert e == lcm(*(getattr(c, "denominator", 1)
@@ -474,7 +492,7 @@ def test_ad_table_left_unchanged_by_its_readers():
             assert all(type(c) is int for ad in int_ads
                        for col in ad.values() for c in col.values())
             if e == 1:
-                assert int_ads is L._cache["ad"]
+                assert int_ads is L._ads
             scaled.add(e != 1)
     assert scaled == {False, True}
 
@@ -566,8 +584,6 @@ def test_bracket_primitives_do_no_fraction_arithmetic(monkeypatch):
     assert want[0] == [] and want[1]
     # fresh copies, whose integral views are built under the patch
     fresh = [LieAlgebra._make(QQ, A.dim, A.brackets) for A in (L, bad)]
-    for A in fresh:
-        algebra._ads(A)
 
     def boom(*args):
         raise AssertionError("Fraction arithmetic in a bracket primitive")
@@ -608,7 +624,7 @@ def test_scaling_stays_bounded_on_many_coprime_denominators():
     assert lcm(*ps[:2 * blocks]).bit_length() > 2000
     L = LieAlgebra(QQ, n, table)  # validated: check_jacobi(L) == []
     ads, e = algebra._int_ads(L)
-    assert e == 1 and ads is L._cache["ad"]
+    assert e == 1 and ads is L._ads
     # one block broken by [e2, e3] = e2 / r: the violations are the ones
     # the textbook search finds on that block alone, shifted
     o = 4 * 37

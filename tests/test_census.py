@@ -1,16 +1,19 @@
 import dataclasses
 import itertools
+from collections import Counter
 import multiprocessing
 import random
 
 import pytest
 
 import schurdefect.census as census
-from schurdefect.algebra import LieAlgebra, change_basis
+from schurdefect import catalog
+from schurdefect.algebra import LieAlgebra, change_basis, check_jacobi, direct_sum
 from schurdefect.census import (
     CSV_HEADER,
     _BLOCK,
     CensusRow,
+    CensusSummary,
     _filter_range,
     _jacobi_blocks,
     _layout,
@@ -209,6 +212,72 @@ def test_orbit_rows_match_exact_stack(monkeypatch):
         ids = _filter_range(n, p, 0, tensor_space_size(n, GF(p)))[1]
         assert s.rows == exact_rows(n, p, ids), (n, p)
         assert len(runs) == orbits, (n, p)
+
+
+def adapted_tables(n, field):
+    """Every table with [e_i, e_j] in span(e_k : k > j) for i < j. Every
+    nilpotent algebra has such an adapted basis, so these tables meet every
+    isomorphism class of nilpotent algebras of dimension n."""
+    slots = [(i, j, k) for i, j in itertools.combinations(range(1, n + 1), 2)
+             for k in range(j + 1, n + 1)]
+    for digits in itertools.product(range(field.p), repeat=len(slots)):
+        table = {}
+        for (i, j, k), c in zip(slots, digits):
+            if c:
+                table.setdefault((i, j), {})[k] = c
+        yield table
+
+
+def adapted_rows(n, p):
+    """(tables, rows): the number of adapted tables on GF(p)^n, and the
+    exact stack's CensusRow of each Lie one, its id given by encode_tensor."""
+    field = GF(p)
+    tables = list(adapted_tables(n, field))
+    ids = [encode_tensor(n, field, table) for table in tables
+           if not check_jacobi(LieAlgebra._make(field, n, table))]
+    return len(tables), exact_rows(n, p, ids)
+
+
+def test_adapted_tables_check_the_t2_theorem_at_gf2_dim5():
+    # the census stops at n = 4 and never meets a t = 2 algebra; the adapted
+    # tables at GF(2) n = 5 meet every class of dimension 5, the t = 2
+    # stems and dim L^2 = 3 among them. Every Lie one must pass the census
+    # checks (no counterexample, the lower bounds, the Moneyhun bound), and
+    # its (dim L^2, t, verdict) must be one of the catalog's: an entry of
+    # dimension <= 5 serving GF(2), or A(0), H(1), H(2), plus A(5 - dim)
+    tables, rows = adapted_rows(5, 2)
+    assert (tables, len(rows)) == (1024, 448)
+    summary = CensusSummary(n=5, p=2, candidates=tables, lie_count=len(rows),
+                            nilpotent_count=len(rows),
+                            t_tallies=dict(Counter(r.t for r in rows)), rows=rows)
+    verdict = verify_bounds(summary)
+    assert verdict.passed and verdict.checked == 448, verdict.failures[:3]
+    field = GF(2)
+    stems = [catalog.get(key, field) for key in ("A0", "H1", "H2")]
+    stems += [catalog.get(e.key, field, catalog.default_param(e, field))
+              for e in catalog.list_all(field) if e.dim <= 5]
+    want = set()
+    for T in stems:
+        M = direct_sum(T, catalog.abelian(field, 5 - T.dim))
+        rep = report(M)
+        want.add((rep.dim_derived, rep.t, classify_t012(M).label()))
+    tally = Counter((r.dim_derived, r.t, r.verdict) for r in rows)
+    assert set(tally) == want
+    assert tally == {
+        (0, 0, "abelian(5)"): 1, (1, 0, "heisenberg(1)+A(2)"): 53,
+        (1, 0, "heisenberg(2)+A(0)"): 28, (2, 1, "L4_3+A(1)"): 132,
+        (2, 2, "L5_5+A(0)"): 108, (3, 2, "L5_6+A(0)"): 24,
+        (3, 2, "L5_7+A(0)"): 24, (2, 3, "out-of-scope(t=3)"): 54,
+        (3, 3, "out-of-scope(t=3)"): 24}
+
+
+def test_adapted_rows_match_the_census():
+    # where the adapted tables overlap the census, each of their rows is
+    # the census row of the same id
+    for n, p in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
+        want = {row.tensor_id: row for row in enumerate_algebras(n, GF(p)).rows}
+        rows = adapted_rows(n, p)[1]
+        assert rows and all(want[row.tensor_id] == row for row in rows), (n, p)
 
 
 def test_relabeling_matches_change_basis():

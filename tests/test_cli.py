@@ -166,6 +166,20 @@ def test_console_entry_point():
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_package_runs_as_a_module():
+    # python -m schurdefect from a checkout, with only src on the path
+    env = dict(os.environ, PYTHONPATH=str(Path(schurdefect.__file__).parents[1]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "schurdefect", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = cli("t", "F3")
+    assert (done.returncode, done.stdout) == (0, "3\n")
+    done = cli("classify")
+    assert done.returncode == 2 and done.stdout == ""
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "t", "L9_99")[0] == 2

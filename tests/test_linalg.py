@@ -17,7 +17,7 @@ from conftest import (
     textbook_matvec,
     textbook_rref,
 )
-from schurdefect.algebra import _ad_table, _ads, change_basis
+from schurdefect.algebra import _ad_table, change_basis
 from schurdefect.classify import classify_t012
 from schurdefect.errors import NotContained, SingularMatrix
 from schurdefect.fields import GF, QQ
@@ -368,7 +368,7 @@ def test_kernel_takes_canonical_rows_and_changes_none(monkeypatch):
                 algebras.append(L)
     assert len(calls) > 1000
     for L in algebras:
-        assert _ads(L) == _ad_table(L.dim, L.brackets, L.field.characteristic)
+        assert L._ads == _ad_table(L.dim, L.brackets, L.field)
 
 
 def test_equations_roundtrip():
